@@ -15,6 +15,8 @@
 // reported. Rows land in BENCH_elastic_recovery.json (schema-validated
 // before exit); the binary FSDP_CHECKs that every drill actually recovered
 // and that replayed work is monotone in the interval.
+#include <unistd.h>
+
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -66,8 +68,10 @@ struct DrillOutcome {
 
 DrillOutcome RunDrill(int64_t interval, const std::string& victim) {
   namespace fs = std::filesystem;
+  // Per-process directory: concurrent runs of this bench never share files.
   const fs::path dir = fs::temp_directory_path() /
-                       ("elastic_recovery_i" + std::to_string(interval));
+                       ("elastic_recovery_" + std::to_string(::getpid()) +
+                        "_i" + std::to_string(interval));
   fs::remove_all(dir);
   fs::create_directories(dir);
 

@@ -22,7 +22,6 @@ namespace {
 void PrintTimeline(bool prefetch, std::vector<bench::JsonRow>& rows) {
   const int world = 2;
   comm::DeviceMesh mesh(world, world);
-  std::vector<std::string> events;
   std::vector<obs::TraceEvent> trace;
   RunOnRanks(world, [&](int rank) {
     nn::InitCtx ctx(Device::kCpu, 5);
@@ -41,17 +40,15 @@ void PrintTimeline(bool prefetch, std::vector<bench::JsonRow>& rows) {
     Tensor targets = ops::IndexTensor({2, 3, 4, 5}, {4});
     Tensor loss = ops::CrossEntropy((*model)(tokens), targets);
     autograd::RunBackward(loss);
-    if (rank == 0) {
-      events = state->events();
-      trace = state->trace_events();
-    }
+    if (rank == 0) trace = state->trace_events();
   });
   std::printf("\nbackward prefetch %s — rank 0 event sequence "
               "(unit0=[root], unit1=blocks.0, unit2=blocks.1):\n",
               prefetch ? "ON " : "OFF");
   int i = 0;
-  for (const auto& e : events) {
-    std::printf("  %2d. %s\n", ++i, e.c_str());
+  for (const auto& e : trace) {
+    if (e.lane != "runtime") continue;  // the rank thread's issue order
+    std::printf("  %2d. %s\n", ++i, obs::RenderEvent(e).c_str());
   }
   for (size_t k = 0; k < trace.size(); ++k) {
     const auto& e = trace[k];

@@ -2,10 +2,10 @@
 // the simulator to it, search the schedule space, and prove the winner on
 // the real collective runtime.
 //
-//   record    a 4-rank FSDP transformer for a few steps with the trace
-//             collector on (same harness as profile_report);
+//   record    a 4-rank FSDP transformer for a few steps into rank 0's
+//             timed execution log (same harness as profile_report);
 //   calibrate sim::CalibrateFromProfile fits compute rate and link
-//             bandwidth/launch from the measured spans and reports the
+//             bandwidth/launch from the measured times and reports the
 //             per-unit parameter/FLOP table it learned;
 //   search    tune::Autotune over the default knob grid for this topology,
 //             scoring candidates in the simulator under the CALIBRATED
@@ -54,10 +54,6 @@ int main() {
   const int steps_to_run = 3;
 
   // --- 1. record a profiled 4-rank run ----------------------------------
-  auto& collector = obs::TraceCollector::Get();
-  collector.Clear();
-  collector.set_enabled(true);
-
   comm::DeviceMesh mesh(world, world);
   // Injected interconnect latency gives comm spans realistic size-dependent
   // durations for the calibration fit (in-process memcpy is ~instant).
@@ -83,16 +79,14 @@ int main() {
       autograd::RunBackward(loss);
     }
     if (rank == 0) {
-      inputs.instrs = state->executed_plan();
+      inputs.entries = state->exec_log().Entries();
       for (int u = 0; u < state->num_units(); ++u) {
         inputs.unit_names.push_back(state->unit_name(u));
       }
       inputs.status = state->status();
     }
   });
-  collector.set_enabled(false);
   inputs.rank = 0;
-  inputs.events = collector.SnapshotRank(0);
 
   const std::vector<obs::StepProfile> profiles =
       obs::BuildStepProfiles(inputs);
@@ -186,7 +180,6 @@ int main() {
   REQUIRE(parsed.ValueOrDie()["found"].AsBool());
   std::printf("wrote %s\n", path.c_str());
 
-  collector.Clear();
   std::printf("\nautotune_demo: OK\n");
   return 0;
 }

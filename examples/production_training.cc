@@ -3,7 +3,10 @@
 // prefetching, the rate limiter, Adam, global gradient clipping (the Sec
 // 7.2.1 communicating kind), and checkpoint/restore of both parameters and
 // sharded optimizer state mid-run.
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 
 #include "autograd/engine.h"
 #include "core/fsdp.h"
@@ -27,8 +30,13 @@ int main() {
   cfg.num_layers = 4;
   cfg.checkpoint_blocks = true;  // activation checkpointing, Sec 5.4
 
-  // Checkpoints go through a real file on disk, like a real job would.
-  const std::string ckpt_path = "/tmp/fsdp_production_example.ckpt";
+  // Checkpoints go through a real file on disk, like a real job would, in a
+  // directory of this process's own so concurrent runs never collide.
+  const std::filesystem::path ckpt_dir =
+      std::filesystem::temp_directory_path() /
+      ("fsdp_production_example_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(ckpt_dir);
+  const std::string ckpt_path = (ckpt_dir / "model.ckpt").string();
 
   auto run_phase = [&](const char* phase, int steps, bool restore) {
     std::vector<float> losses(world);
@@ -98,7 +106,7 @@ int main() {
   std::printf("loss at end of phase 1: %.4f; at start of phase 2: %.4f "
               "(resumed, not reset)\n",
               end_phase1, start_phase2);
-  std::remove(ckpt_path.c_str());
+  std::filesystem::remove_all(ckpt_dir);
   std::printf("production training example done.\n");
   return start_phase2 < end_phase1 * 1.5f ? 0 : 1;
 }

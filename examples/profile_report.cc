@@ -1,14 +1,14 @@
 // profile_report — the profiler + calibration quickstart and smoke test.
 //
-// Runs a 4-rank FSDP transformer for a few steps with the trace collector
-// enabled, joins rank 0's executed plan against the recorded spans
-// (obs::BuildStepProfiles), prints the per-instruction table with the
-// critical path and overlap analysis, writes the PROFILE_report.json
-// artifact plus a Chrome trace with memory / in-flight counter tracks, and
-// calibrates the simulator's cost constants from the measured durations.
+// Runs a 4-rank FSDP transformer for a few steps, profiles rank 0's timed
+// execution log (obs::BuildStepProfiles), prints the per-instruction table
+// with the critical path and overlap analysis, writes the
+// PROFILE_report.json artifact plus a Chrome trace (the trace collector's
+// spans with memory / in-flight counter tracks), and calibrates the
+// simulator's cost constants from the measured durations.
 //
 // Registered as the `profile_report_smoke` ctest (label "obs"): every
-// assertion below exits nonzero, so a malformed artifact, an unjoined
+// assertion below exits nonzero, so a malformed artifact, an untimed
 // instruction or a calibration regression fails CI.
 #include <cstdio>
 #include <cstdlib>
@@ -78,7 +78,7 @@ int main() {
       autograd::RunBackward(loss);
     }
     if (rank == 0) {
-      inputs.instrs = state->executed_plan();
+      inputs.entries = state->exec_log().Entries();
       for (int u = 0; u < state->num_units(); ++u) {
         inputs.unit_names.push_back(state->unit_name(u));
       }
@@ -87,9 +87,8 @@ int main() {
   });
   collector.set_enabled(false);
   inputs.rank = 0;
-  inputs.events = collector.SnapshotRank(0);
 
-  // --- 2. join + analyze ------------------------------------------------
+  // --- 2. analyze -------------------------------------------------------
   const std::vector<obs::StepProfile> profiles =
       obs::BuildStepProfiles(inputs);
   REQUIRE(profiles.size() == static_cast<size_t>(steps_to_run));
@@ -155,7 +154,7 @@ int main() {
   // collectives) alongside the recorded spans.
   const std::string trace_path = obs::ArtifactPath("profile_report_trace.json");
   const Status trace_st = obs::WriteChromeTrace(
-      trace_path, inputs.events,
+      trace_path, collector.SnapshotRank(0),
       obs::ProfileCounterTracks(profiles, /*rank=*/0));
   REQUIRE(trace_st.ok());
   std::printf("wrote %s\n", trace_path.c_str());

@@ -160,6 +160,12 @@ double Work::complete_us() const {
   return state_->complete_us;
 }
 
+int64_t Work::bytes() const {
+  if (!state_) return 0;
+  std::lock_guard<std::mutex> lock(state_->mu);
+  return state_->bytes;
+}
+
 // ---------------------------------------------------------------------------
 // Communicator: comm-worker runtime
 
@@ -172,7 +178,13 @@ Communicator::Communicator(int size)
 }
 
 Communicator::~Communicator() {
-  // The watchdog goes first: it must not fire (dump + abort) while the rest
+  // Leave the failure domain first: afterwards no other thread can reach
+  // this communicator through an abort.
+  if (const auto domain = abort_domain()) {
+    std::lock_guard<std::mutex> lock(domain->mu);
+    std::erase(domain->members, this);
+  }
+  // The watchdog goes next: it must not fire (dump + abort) while the rest
   // of the teardown races it.
   if (watchdog_started_.load(std::memory_order_acquire)) {
     {
@@ -559,24 +571,31 @@ Communicator::Mailbox& Communicator::MailboxFor(int src, int dst) {
   return *slot;
 }
 
-void Communicator::LinkAbortPeer(std::weak_ptr<Communicator> peer) {
-  std::lock_guard<std::mutex> lock(peers_mu_);
-  abort_peers_.push_back(std::move(peer));
+void Communicator::JoinAbortDomain(std::shared_ptr<AbortDomain> domain) {
+  {
+    std::lock_guard<std::mutex> lock(domain->mu);
+    domain->members.push_back(this);
+  }
+  std::lock_guard<std::mutex> lock(domain_mu_);
+  domain_ = std::move(domain);
+}
+
+std::shared_ptr<AbortDomain> Communicator::abort_domain() {
+  std::lock_guard<std::mutex> lock(domain_mu_);
+  return domain_;
 }
 
 void Communicator::PropagateAbort() {
-  std::vector<std::weak_ptr<Communicator>> peers;
-  {
-    std::lock_guard<std::mutex> lock(peers_mu_);
-    peers = abort_peers_;
-  }
-  if (peers.empty()) return;
+  const auto domain = abort_domain();
+  if (!domain) return;
   const Status st = abort_status();
   const Status forwarded = Status::Internal(
       "aborted by linked communicator '" + name_ + "': " +
       (st.ok() ? std::string("communicator aborted") : st.message()));
-  for (auto& wp : peers) {
-    if (auto p = wp.lock()) p->Abort(forwarded);  // first-abort-wins stops it
+  // One clique: every member is aborted here, none propagates further.
+  std::lock_guard<std::mutex> lock(domain->mu);
+  for (Communicator* c : domain->members) {
+    if (c != this && c->ClaimAbort(forwarded, nullptr)) c->WakeAllAfterAbort();
   }
 }
 
@@ -847,6 +866,7 @@ Work ProcessGroup::Issue(obs::EventKind kind, const CollectiveOptions& opts,
   auto state = std::make_shared<WorkState>();
   // Written before Enqueue; the queue mutex publishes it to the worker.
   state->issue_us = MonotonicMicros();
+  state->bytes = bytes;
   state->keepalive = std::move(keepalive);
   Communicator::CommOp op;
   op.body = std::move(body);
@@ -1497,15 +1517,8 @@ Status DeviceMesh::FsdpSubmesh(const std::string& axis, int rank,
 
 void DeviceMesh::LinkIntoWeb(
     const std::vector<std::shared_ptr<Communicator>>& fresh) {
-  for (const auto& f : fresh) {
-    for (const auto& e : all_comms_) {
-      f->LinkAbortPeer(e);
-      e->LinkAbortPeer(f);
-    }
-    for (const auto& g : fresh) {
-      if (g != f) f->LinkAbortPeer(g);
-    }
-  }
+  if (!domain_) domain_ = std::make_shared<AbortDomain>();
+  for (const auto& f : fresh) f->JoinAbortDomain(domain_);
   all_comms_.insert(all_comms_.end(), fresh.begin(), fresh.end());
 }
 

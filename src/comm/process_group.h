@@ -114,6 +114,7 @@ struct WorkState {
   double issue_us = 0;     // enqueued on the calling rank thread
   double start_us = 0;     // comm worker began executing
   double complete_us = 0;  // all barriers passed, results visible
+  int64_t bytes = 0;       // payload of the collective (its trace span bytes)
   /// Tensors pinned until completion (async staging buffers and the
   /// convenience-overload src/dst); released by the worker on completion.
   std::vector<Tensor> keepalive;
@@ -150,6 +151,8 @@ class Work {
   double issue_us() const;
   double start_us() const;
   double complete_us() const;
+  /// Payload bytes the collective moves (0 for default-constructed).
+  int64_t bytes() const;
 
  private:
   friend class ProcessGroup;
@@ -191,6 +194,18 @@ struct WatchdogDiagnosis {
   /// The rendezvous point of the healthy ranks — what the culprit was
   /// expected to enter next.
   std::vector<Expected> expected_next;
+};
+
+class Communicator;
+
+/// The communicators that abort together: a mesh's failure domain. It holds
+/// no strong references: members leave at the start of their destructor and
+/// propagation runs under `mu`, so no member dies while being aborted, and
+/// no thread a communicator owns (watchdog, worker) can ever end up running
+/// that communicator's destructor.
+struct AbortDomain {
+  std::mutex mu;
+  std::vector<Communicator*> members;  // guarded by mu
 };
 
 /// Shared state of one communicator (one "NCCL communicator"): the per-rank
@@ -277,14 +292,13 @@ class Communicator {
   /// automatically before aborting.
   std::string flight_dump_path() const;
 
-  /// Joins this communicator to `peer`'s failure domain: when THIS
-  /// communicator aborts (watchdog, desync, explicit Abort), the abort is
-  /// propagated to `peer` after local waiters are woken. One direction;
-  /// DeviceMesh cross-links every communicator of a composed mesh so a
-  /// timeout on one axis (a TP AllReduce on `tp0`) tears down the siblings
-  /// (`dp*`, `pp*`) instead of leaving them deadlocked mid-step.
-  /// First-abort-wins terminates the propagation cascade.
-  void LinkAbortPeer(std::weak_ptr<Communicator> peer);
+  /// Joins this communicator to `domain`: when any member aborts
+  /// (watchdog, desync, explicit Abort), every other member is aborted after
+  /// the local waiters are woken. DeviceMesh puts every communicator of a
+  /// composed mesh in one domain, so a timeout on one axis (a TP AllReduce
+  /// on `tp0`) tears down the siblings (`dp*`, `pp*`) instead of leaving
+  /// them deadlocked mid-step.
+  void JoinAbortDomain(std::shared_ptr<AbortDomain> domain);
   /// Flight records as "flight"-lane trace events for the Chrome exporter.
   std::vector<obs::TraceEvent> FlightTraceEvents() const {
     return flight_.TraceEvents();
@@ -378,9 +392,10 @@ class Communicator {
   void TransferDelay(int64_t bytes) const;
   /// The (src → dst) mailbox, created on first use.
   Mailbox& MailboxFor(int src, int dst);
-  /// Propagates this communicator's abort Status to every linked peer
-  /// (outside all local locks; first-abort-wins stops the recursion).
+  /// Aborts the rest of this communicator's failure domain with its abort
+  /// Status (outside all local locks).
   void PropagateAbort();
+  std::shared_ptr<AbortDomain> abort_domain();
 
   /// Issue-side bookkeeping (calling rank thread): assigns the rank's next
   /// seq, records the issue in progress + flight recorder.
@@ -421,8 +436,8 @@ class Communicator {
   std::mutex mailbox_mu_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;  // [src * size_ + dst]
 
-  std::mutex peers_mu_;
-  std::vector<std::weak_ptr<Communicator>> abort_peers_;
+  std::mutex domain_mu_;
+  std::shared_ptr<AbortDomain> domain_;  // guarded by domain_mu_
 
   std::vector<WorkerQueue> queues_;
   std::vector<std::thread> workers_;
@@ -694,8 +709,8 @@ class DeviceMesh {
   int GroupIndex(int a, int rank) const;
   /// Product of axis sizes after `a` (the stride of axis a, row-major).
   int AxisStride(int a) const;
-  /// Cross-links `fresh` communicators into this mesh's failure domain and
-  /// appends them to all_comms_.
+  /// Joins `fresh` communicators to this mesh's failure domain and appends
+  /// them to all_comms_.
   void LinkIntoWeb(const std::vector<std::shared_ptr<Communicator>>& fresh);
 
   int world_size_ = 0;
@@ -708,6 +723,7 @@ class DeviceMesh {
   std::vector<MeshAxis> axes_;
   std::vector<std::vector<std::shared_ptr<Communicator>>> axis_groups_;
   std::vector<std::shared_ptr<Communicator>> all_comms_;  // the abort web
+  std::shared_ptr<AbortDomain> domain_;                   // its domain
   std::mutex submesh_mu_;
   /// (axis, group, F) -> cached FSDP submesh.
   std::vector<std::pair<std::array<int, 3>, std::shared_ptr<DeviceMesh>>>

@@ -196,10 +196,11 @@ void FlatParamHandle::BeginGradientReduce(float grad_divisor,
   reduce_in_flight_ = true;
 }
 
-Status FlatParamHandle::FinishGradientReduce() {
+Status FlatParamHandle::FinishGradientReduce(ReduceWork* done) {
   if (!reduce_in_flight_) return Status::OK();
   NoGradGuard no_grad;
   Status st = reduce_work_.WaitStatus();
+  if (done) done->reduce_scatter = reduce_work_;
   reduce_work_ = comm::Work();
   reduce_in_flight_ = false;
   Tensor shard_grad = pending_shard_grad_;
@@ -208,11 +209,12 @@ Status FlatParamHandle::FinishGradientReduce() {
     // Hybrid sharding (Eq. 1): reduce the sharded gradients across replicas.
     comm::CollectiveOptions ar_opts;
     ar_opts.comm_dtype = mp_.reduce_dtype;
-    // Tag with the unit FQN like the shard-group collectives: fault
-    // injection targets it, and the profiler joins the recorded span
-    // against the kAllReduceReplicas instruction by this name.
+    // Tag with the unit FQN like the shard-group collectives, so fault
+    // injection and the comm-lane trace span name the unit.
     ar_opts.tag = name_;
-    st = replicate_pg_.AllReduce(shard_grad, ar_opts).WaitStatus();
+    const comm::Work replica = replicate_pg_.AllReduce(shard_grad, ar_opts);
+    st = replica.WaitStatus();
+    if (done) done->replica_allreduce = replica;
   }
   if (!st.ok()) {
     // Drop the garbage reduction; the sharded .grad keeps its previous

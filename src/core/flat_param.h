@@ -116,12 +116,19 @@ class FlatParamHandle {
   /// comment. The eventual result is divided by `grad_divisor` (the
   /// data-parallel world size) in FinishGradientReduce.
   void BeginGradientReduce(float grad_divisor, const std::string& tag = "");
+  /// The collectives one FinishGradientReduce waited on: the ReduceScatter
+  /// and the hybrid replica AllReduce (default-constructed if not run).
+  struct ReduceWork {
+    comm::Work reduce_scatter;
+    comm::Work replica_allreduce;
+  };
   /// Waits for the issued ReduceScatter, runs the hybrid-sharding replica
   /// AllReduce, divides, and accumulates into the sharded .grad. No-op (OK)
   /// when no reduction is in flight. On a non-OK Status (aborted
   /// communicator) the garbage reduction is dropped: the sharded .grad is
   /// left untouched so a failed step cannot corrupt the optimizer state.
-  Status FinishGradientReduce();
+  /// `done`, when given, receives the completed Work handles.
+  Status FinishGradientReduce(ReduceWork* done = nullptr);
   bool gradient_reduce_in_flight() const { return reduce_in_flight_; }
   /// Synchronous gradient path: BeginGradientReduce + FinishGradientReduce.
   Status PrepareGradient(float grad_divisor);

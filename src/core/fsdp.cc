@@ -69,12 +69,14 @@ Status FsdpOptions::Validate(int world_size, int sharding_factor) const {
 FsdpState::FsdpState(nn::ModulePtr module, comm::DeviceMesh& mesh, int rank,
                      FsdpOptions options)
     : module_(std::move(module)), rank_(rank),
-      world_size_(mesh.world_size()), options_(std::move(options)) {
+      world_size_(mesh.world_size()), options_(std::move(options)),
+      own_log_(rank) {
   if (!options_.auto_wrap_policy) options_.auto_wrap_policy = NoWrapPolicy();
 
   options_.Validate(world_size_, mesh.sharding_factor()).Check();
 
   BuildUnits(mesh);
+  for (Unit& unit : units_) unit.log_unit = own_log_.UnitIndex(unit.name);
   // Per-iteration arming runs before any unit logic: register on the root
   // module ahead of the unit hooks (pre-hooks run in registration order).
   module_->RegisterForwardPreHook([this](nn::Module&, const Tensor&) {
@@ -194,54 +196,47 @@ void FsdpState::InstallHooks() {
   }
 }
 
-void FsdpState::Emit(obs::EventKind kind, const std::string& unit,
-                     double t_begin, double t_end, int64_t bytes) {
-  if (!options_.record_events) return;
-  obs::TraceEvent e;
-  e.rank = rank_;
-  e.kind = kind;
-  e.unit = unit;
-  e.lane = "runtime";
-  const double now = MonotonicMicros();
-  e.t_begin_us = t_begin < 0 ? now : t_begin;
-  e.t_end_us = t_end < 0 ? e.t_begin_us : t_end;
-  e.bytes = bytes;
-  events_.push_back(obs::RenderEvent(e));
-  if (obs::TraceCollector::Get().enabled()) {
-    obs::TraceCollector::Get().Record(e);
-  }
-  trace_.push_back(std::move(e));
+void FsdpState::AttachExecLog(plan::ExecLog* log, int stage) {
+  log_ = log ? log : &own_log_;
+  stage_ = stage;
+  for (Unit& unit : units_) unit.log_unit = log_->UnitIndex(unit.name);
 }
 
-void FsdpState::RecordInstr(plan::Op op, const Unit* unit, plan::Phase phase,
-                            bool prefetch) {
-  if (!options_.record_events) return;
-  plan::Instr in;
-  in.op = op;
-  in.unit = unit ? static_cast<int>(unit - units_.data()) : -1;
-  in.phase = phase;
-  in.prefetch = prefetch;
+int64_t FsdpState::Record(plan::Op op, const Unit* unit, plan::Phase phase,
+                          double t_begin, double t_end,
+                          int64_t resident_bytes, bool prefetch) {
+  if (!options_.record_events) return -1;
+  plan::ExecEntry e;
+  e.instr.op = op;
+  e.instr.unit = unit ? unit->log_unit : -1;
+  e.instr.phase = phase;
+  e.instr.prefetch = prefetch;
+  e.instr.stage = stage_;
+  e.instr.microbatch = microbatch_;
   switch (op) {
     case plan::Op::kUnshard:
     case plan::Op::kReduceGrad:
     case plan::Op::kAllReduceReplicas:
-      in.lane = plan::Lane::kComm;
+      e.instr.lane = plan::Lane::kComm;
       break;
     case plan::Op::kCompute:
-      in.lane = plan::Lane::kCompute;
+      e.instr.lane = plan::Lane::kCompute;
       break;
     default:
-      in.lane = plan::Lane::kHost;
+      e.instr.lane = plan::Lane::kHost;
       break;
   }
-  if (composed_log_) {
-    plan::Instr c = in;
-    c.stage = composed_stage_;
-    c.microbatch = composed_mb_;
-    c.unit = unit ? composed_log_->UnitIndex(unit->name) : -1;
-    composed_log_->Record(std::move(c));
-  }
-  executed_.push_back(std::move(in));
+  e.kind = plan::ToEventKind(op, phase);
+  e.t_begin_us = e.t_exec_us = t_begin;
+  e.t_end_us = t_end;
+  e.resident_bytes = resident_bytes;
+  return log_->Record(std::move(e));
+}
+
+void FsdpState::FinishCollective(int64_t id, const comm::Work& work) {
+  if (id < 0) return;
+  log_->Finish(id, work.issue_us(), work.start_us(), work.complete_us(),
+               work.bytes());
 }
 
 void FsdpState::ArmIteration() {
@@ -256,37 +251,43 @@ void FsdpState::ArmIteration() {
 
 void FsdpState::IssueUnshard(Unit& unit, plan::Phase phase, bool prefetch) {
   if (unit.inflight || unit.handle->is_unsharded()) return;
-  const double t0 = MonotonicMicros();
-  RecordInstr(plan::Op::kUnshard, &unit, phase, prefetch);
   // Async issue: the AllGather proceeds on the comm worker while this rank
-  // thread keeps computing; ConsumeUnshard waits at first parameter use.
-  // The comm worker records the real issue→complete span on the "comm"
-  // lane; this state-log event marks the *issue order* (what the schedule
-  // assertions care about).
+  // thread keeps computing; ConsumeUnshard waits at first parameter use and
+  // times the entry from the Work handle.
   unit.handle->UnshardAsync(unit.name);
   FSDP_LOG(kDebug, "AG " << unit.name << " ("
                          << unit.handle->padded_numel() * 4 << " bytes)");
-  Emit(obs::EventKind::kAllGather, unit.name, t0, MonotonicMicros(),
-       unit.handle->padded_numel() * 4);
+  unit.gather_entry = Record(plan::Op::kUnshard, &unit, phase, 0, 0,
+                             unit.handle->padded_numel() * 4, prefetch);
   unit.inflight = true;
   ++inflight_;
   max_inflight_ = std::max(max_inflight_, inflight_);
 }
 
+void FsdpState::Prefetch(Unit* next, plan::Phase phase) {
+  if (!next) return;
+  if (options_.limit_all_gathers > 0 &&
+      inflight_ >= options_.limit_all_gathers) {
+    ++throttled_prefetches_;
+    obs::MetricsRegistry::Get().GetCounter("fsdp.throttled_prefetches").Add(1);
+    FSDP_LOG(kDebug,
+             "throttle " << next->name << " (inflight " << inflight_ << ")");
+    return;
+  }
+  IssueUnshard(*next, phase, /*prefetch=*/true);
+}
+
 void FsdpState::ConsumeUnshard(Unit& unit, plan::Phase phase) {
   if (unit.handle->unshard_in_flight()) {
-    RecordInstr(plan::Op::kWaitUnshard, &unit, phase);
     if (!unit.handle->unshard_work().Completed()) ++waits_on_pending_;
-    const double t0 = MonotonicMicros();
+    const comm::Work gather = options_.record_events
+                                  ? unit.handle->unshard_work()
+                                  : comm::Work();
+    const double t0 = Now();
     NoteError(unit.handle->WaitUnshard());
-    // Collector-only wait span, 1:1 with the kWaitUnshard instruction above
-    // (the profiler joins them; the state log stays span-free here so the
-    // schedule assertions keep their exact sequences).
-    if (options_.record_events && obs::TraceCollector::Get().enabled()) {
-      obs::TraceCollector::Get().Record(obs::TraceEvent{
-          rank_, obs::EventKind::kWait, unit.name, "runtime", t0,
-          MonotonicMicros(), 0});
-    }
+    FinishCollective(unit.gather_entry, gather);
+    unit.gather_entry = -1;
+    Record(plan::Op::kWaitUnshard, &unit, phase, t0, Now());
   }
   if (unit.inflight) {
     unit.inflight = false;
@@ -306,39 +307,23 @@ void FsdpState::OnPreForward(Unit& unit) {
   // Forward prefetch: issue the next unit's AllGather (previous iteration's
   // order) before this unit's forward computation (Sec 3.3.3).
   if (options_.forward_prefetch) {
-    if (Unit* next = NextForwardPrefetchTarget(unit)) {
-      if (options_.limit_all_gathers > 0 &&
-          inflight_ >= options_.limit_all_gathers) {
-        ++throttled_prefetches_;
-        obs::MetricsRegistry::Get()
-            .GetCounter("fsdp.throttled_prefetches")
-            .Add(1);
-        FSDP_LOG(kDebug, "throttle " << next->name << " (inflight "
-                                     << inflight_ << ")");
-        Emit(obs::EventKind::kThrottle, next->name);
-      } else {
-        IssueUnshard(*next, plan::Phase::kForward, /*prefetch=*/true);
-      }
-    }
+    Prefetch(NextForwardPrefetchTarget(unit), plan::Phase::kForward);
   }
   // First real use of the parameters: wait for the pending AllGather before
-  // the unit's compute begins. Stamping fwd_begin after the wait keeps the
-  // exported compute span honest — it must not absorb the gather wait, or
-  // the overlap assertions would trivially pass.
+  // the unit's compute begins. Starting the compute entry after the wait
+  // keeps its span honest — it must not absorb the gather wait, or the
+  // overlap assertions would trivially pass.
   ConsumeUnshard(unit, plan::Phase::kForward);
-  unit.fwd_begin_us = MonotonicMicros();
-  RecordInstr(plan::Op::kCompute, &unit, plan::Phase::kForward);
-  Emit(obs::EventKind::kForward, unit.name);
+  unit.fwd_begin_us = Now();
+  unit.fwd_entry = Record(plan::Op::kCompute, &unit, plan::Phase::kForward,
+                          unit.fwd_begin_us, 0);
 }
 
 void FsdpState::OnPostForward(Unit& unit, const Tensor& output) {
-  // Collector-only forward span (compute lane): pre-forward marked the
-  // begin; the unit's own compute ran in between. The state log keeps the
-  // instant FWD event for sequence assertions.
-  if (options_.record_events && obs::TraceCollector::Get().enabled()) {
-    obs::TraceCollector::Get().Record(obs::TraceEvent{
-        rank_, obs::EventKind::kForward, unit.name, "compute",
-        unit.fwd_begin_us, MonotonicMicros(), 0});
+  // The unit's own compute ran since pre-forward: the entry ends here.
+  if (unit.fwd_entry >= 0) {
+    log_->Finish(unit.fwd_entry, unit.fwd_begin_us, unit.fwd_begin_us, Now());
+    unit.fwd_entry = -1;
   }
   // An activation-checkpoint recompute re-enters this unit's forward from
   // inside the backward pass: keep the parameters unsharded (the imminent
@@ -349,10 +334,9 @@ void FsdpState::OnPostForward(Unit& unit, const Tensor& output) {
   // forward (Sec 3.3.1), covering custom parameters between wrapped
   // submodules; inner units reshard under RAF strategies.
   if (ReshardAfterForward(options_.strategy) && !unit.is_root) {
-    const double t0 = MonotonicMicros();
+    const double t0 = Now();
     unit.handle->Reshard();
-    RecordInstr(plan::Op::kReshard, &unit, plan::Phase::kForward);
-    Emit(obs::EventKind::kReshard, unit.name, t0, MonotonicMicros());
+    Record(plan::Op::kReshard, &unit, plan::Phase::kForward, t0, Now());
   }
   // Pre-backward anchor: a Tensor hook on the unit's forward output fires
   // when the output's gradient is ready, just before backward enters the
@@ -367,72 +351,46 @@ void FsdpState::OnPostForward(Unit& unit, const Tensor& output) {
 }
 
 void FsdpState::OnPreBackward(Unit& unit) {
-  Emit(obs::EventKind::kPreBackward, unit.name);
   if (!final_callback_queued_) {
     final_callback_queued_ = true;
     autograd::QueueCallback([this] { OnBackwardFinal(); });
   }
   IssueUnshard(unit, plan::Phase::kBackward);
   ConsumeUnshard(unit, plan::Phase::kBackward);
-  // The unit's backward compute runs from here until its post-backward hook.
-  // Stamped after the gather wait so the exported span does not absorb it
-  // (mirrors fwd_begin_us in OnPreForward).
-  unit.bwd_begin_us = MonotonicMicros();
+  // The unit's backward compute runs from here until its post-backward hook
+  // (stamped after the gather wait, like the forward compute).
+  unit.bwd_begin_us = Now();
 }
 
 void FsdpState::OnPostBackward(Unit& unit) {
   unit.backward_done = true;
-  RecordInstr(plan::Op::kCompute, &unit, plan::Phase::kBackward);
-  // Collector-only backward span (compute lane), the kCompute/backward
-  // counterpart of OnPostForward's forward span.
-  if (options_.record_events && obs::TraceCollector::Get().enabled()) {
-    const double now = MonotonicMicros();
-    const double begin = unit.bwd_begin_us > 0 ? unit.bwd_begin_us : now;
-    obs::TraceCollector::Get().Record(obs::TraceEvent{
-        rank_, obs::EventKind::kBackward, unit.name, "compute", begin, now,
-        0});
-  }
+  const double now = Now();
+  Record(plan::Op::kCompute, &unit, plan::Phase::kBackward,
+         unit.bwd_begin_us > 0 ? unit.bwd_begin_us : now, now);
   unit.bwd_begin_us = 0;
   // Backward prefetch: issue the *next* AllGather before the *current*
   // ReduceScatter so the single in-order communication stream does not
   // stall the next gradient computation (Sec 3.3.2).
   if (options_.backward_prefetch) {
-    if (Unit* next = NextBackwardPrefetchTarget(unit)) {
-      if (options_.limit_all_gathers > 0 &&
-          inflight_ >= options_.limit_all_gathers) {
-        ++throttled_prefetches_;
-        obs::MetricsRegistry::Get()
-            .GetCounter("fsdp.throttled_prefetches")
-            .Add(1);
-        FSDP_LOG(kDebug, "throttle " << next->name << " (inflight "
-                                     << inflight_ << ")");
-        Emit(obs::EventKind::kThrottle, next->name);
-      } else {
-        IssueUnshard(*next, plan::Phase::kBackward, /*prefetch=*/true);
-      }
-    }
+    Prefetch(NextBackwardPrefetchTarget(unit), plan::Phase::kBackward);
   }
   if (require_sync_) {
     const int64_t grad_bytes = unit.handle->padded_numel() * 4;
-    const double t0 = MonotonicMicros();
     // Async issue of the ReduceScatter; OnBackwardFinal waits for it (plus
     // the replica AllReduce for hybrid sharding) so the rank thread never
     // stalls here behind a prefetched AllGather on the same comm stream.
+    // Both entries are recorded here, in issue order, and timed there.
     unit.handle->BeginGradientReduce(static_cast<float>(world_size_),
                                      unit.name);
-    const double t1 = MonotonicMicros();
-    // The state-log events mark issue order (the schedule-assertion
-    // surface); the comm worker records the real spans.
-    RecordInstr(plan::Op::kReduceGrad, &unit, plan::Phase::kBackward);
-    Emit(obs::EventKind::kReduceScatter, unit.name, t0, t1, grad_bytes);
+    unit.reduce_entry = Record(plan::Op::kReduceGrad, &unit,
+                               plan::Phase::kBackward, 0, 0, grad_bytes);
     if (unit.handle->replicate_pg().valid()) {
-      RecordInstr(plan::Op::kAllReduceReplicas, &unit, plan::Phase::kBackward);
-      Emit(obs::EventKind::kAllReduce, unit.name, t0, t1, grad_bytes);
+      unit.replica_entry = Record(plan::Op::kAllReduceReplicas, &unit,
+                                  plan::Phase::kBackward, 0, 0, grad_bytes);
     }
-    const double t2 = MonotonicMicros();
+    const double t0 = Now();
     unit.handle->Reshard();
-    RecordInstr(plan::Op::kReshard, &unit, plan::Phase::kBackward);
-    Emit(obs::EventKind::kReshard, unit.name, t2, MonotonicMicros());
+    Record(plan::Op::kReshard, &unit, plan::Phase::kBackward, t0, Now());
     ConsumeUnshard(unit, plan::Phase::kBackward);
   }
   // Without sync (accumulation-without-communication, Sec 3.3.4) the
@@ -446,31 +404,30 @@ void FsdpState::OnBackwardFinal() {
   // replica AllReduce, divide and accumulate), reshard everything still
   // unsharded, and roll the observed forward order into the next
   // iteration's forward-prefetch hints.
-  const double reduce_wait_begin = MonotonicMicros();
+  const double reduce_wait_begin = Now();
   for (Unit& unit : units_) {
-    NoteError(unit.handle->FinishGradientReduce());
+    FlatParamHandle::ReduceWork done;
+    NoteError(unit.handle->FinishGradientReduce(
+        options_.record_events ? &done : nullptr));
+    FinishCollective(unit.reduce_entry, done.reduce_scatter);
+    FinishCollective(unit.replica_entry, done.replica_allreduce);
+    unit.reduce_entry = unit.replica_entry = -1;
   }
-  const double reduce_wait_end = MonotonicMicros();
+  const double reduce_wait_end = Now();
   for (Unit& unit : units_) {
     ConsumeUnshard(unit, plan::Phase::kBackward);  // straggling prefetches
     if (unit.handle->is_unsharded() && require_sync_) {
-      const double t0 = MonotonicMicros();
+      const double t0 = Now();
       unit.handle->Reshard();
-      RecordInstr(plan::Op::kReshard, &unit, plan::Phase::kBackward);
-      Emit(obs::EventKind::kReshard, unit.name, t0, MonotonicMicros());
+      Record(plan::Op::kReshard, &unit, plan::Phase::kBackward, t0, Now());
     }
   }
   // The reductions issued through backward complete here (the Sec 4.3
-  // queue_callback join) — one end-of-backward wait in the executed plan.
+  // queue_callback join) — one end-of-backward wait in the log, spanning
+  // the FinishGradientReduce joins above.
   if (require_sync_) {
-    RecordInstr(plan::Op::kWaitReduceGrad, nullptr, plan::Phase::kBackward);
-    // Collector-only span over the FinishGradientReduce joins above, 1:1
-    // with the single end-of-backward kWaitReduceGrad instruction.
-    if (options_.record_events && obs::TraceCollector::Get().enabled()) {
-      obs::TraceCollector::Get().Record(obs::TraceEvent{
-          rank_, obs::EventKind::kWait, "", "runtime", reduce_wait_begin,
-          reduce_wait_end, 0});
-    }
+    Record(plan::Op::kWaitReduceGrad, nullptr, plan::Phase::kBackward,
+           reduce_wait_begin, reduce_wait_end);
   }
   // Execution-order validation (Sec 3.3.2's "freshly observed each
   // iteration"): surface dynamic-graph order changes.
@@ -478,7 +435,6 @@ void FsdpState::OnBackwardFinal() {
       !prev_forward_order_.empty() && forward_order_ != prev_forward_order_;
   if (order_changed_) {
     FSDP_LOG(kInfo, "forward execution order changed this iteration");
-    Emit(obs::EventKind::kOrderChanged);
     obs::MetricsRegistry::Get().GetCounter("fsdp.order_changes").Add(1);
   }
   prev_forward_order_ = forward_order_;
@@ -515,13 +471,6 @@ FsdpState::Unit* FsdpState::NextForwardPrefetchTarget(const Unit& current) {
     return nullptr;
   }
   return &next;
-}
-
-std::vector<std::string> FsdpState::executed_schedule() const {
-  std::vector<std::string> names;
-  names.reserve(units_.size());
-  for (const Unit& unit : units_) names.push_back(unit.name);
-  return plan::CanonicalSchedule(executed_, names);
 }
 
 plan::StepPlan FsdpState::ExpectedStepPlan() const {

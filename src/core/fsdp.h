@@ -41,19 +41,17 @@
 // The runtime also validates execution order: if the observed pre-forward
 // order changes between iterations (a dynamic graph), prefetch hints adapt
 // — the freshly-observed-order property of Sec 3.3.2 — and the change is
-// surfaced via order_changed()/an ORDER event.
+// surfaced via order_changed() and the fsdp.order_changes counter.
 //
-// Every collective/lifecycle action appends a typed obs::TraceEvent to the
-// state's event log, making the paper's scheduling claims directly
-// assertable in tests (trace_events()); events() renders the same log as the
-// legacy "KIND:unit" strings. When the global obs::TraceCollector is
-// enabled, the events are mirrored there for Chrome-trace export.
-//
-// The schedule itself is additionally recorded as typed plan instructions
-// (src/plan): executed_plan() is the instruction stream this rank actually
-// ran, ExpectedStepPlan() is what the shared plan::PlanBuilder predicts from
-// the options, and executed_schedule() renders the canonical projection —
-// the surface tests/plan_test.cc compares against the simulator's plan.
+// Every action is recorded once, into this rank's plan::ExecLog: the typed
+// plan instruction with its begin, exec-start and end times and its wire
+// and resident bytes. Collectives are timed from their comm::Work handle
+// when the rank thread waits on them; the hooks time computes, waits and
+// reshards. The rest are views of that log: executed_plan() and its
+// canonical projection executed_schedule() (compared against
+// ExpectedStepPlan() and the simulator's plan by tests/plan_test.cc),
+// trace_events() (also published to an enabled obs::TraceCollector), and
+// obs::BuildStepProfiles, which reads the times from exec_log().
 #pragma once
 
 #include <memory>
@@ -106,7 +104,8 @@ struct FsdpOptions {
   int limit_all_gathers = 2;
   /// Broadcast rank 0's parameter values at wrap time.
   bool sync_module_states = true;
-  /// Record AG/RS/AR/RESHARD/FWD/PREBWD trace events (tests & debugging).
+  /// Record the execution log (instructions with times). Off: nothing is
+  /// recorded and no clock or Work timestamp is read.
   bool record_events = true;
 
   /// Checks option consistency against the mesh geometry: strategy vs.
@@ -153,22 +152,24 @@ class FsdpState {
   int num_units() const { return static_cast<int>(units_.size()); }
   FlatParamHandle& unit_handle(int i) { return *units_[i].handle; }
   const std::string& unit_name(int i) const { return units_[i].name; }
-  /// Typed schedule log, in emission order (one entry per AG/RS/AR/RESHARD/
-  /// FWD/PREBWD/THROTTLE/ORDER_CHANGED action of this rank).
-  const std::vector<obs::TraceEvent>& trace_events() const { return trace_; }
-  /// Legacy view: the same log rendered as "KIND:unit" strings.
-  const std::vector<std::string>& events() const { return events_; }
-  void ClearEvents() {
-    trace_.clear();
-    events_.clear();
-    executed_.clear();
+  /// The execution log this state records into: its own, or the one
+  /// passed to AttachExecLog.
+  const plan::ExecLog& exec_log() const { return *log_; }
+  /// The log as trace events, in log order (plan::ExecLog::TraceEvents).
+  std::vector<obs::TraceEvent> trace_events() const {
+    return log_->TraceEvents();
   }
-  /// The plan instructions this rank actually executed, in issue order
-  /// (recorded alongside the trace; cleared by ClearEvents()).
-  const std::vector<plan::Instr>& executed_plan() const { return executed_; }
+  /// Drops the log's entries.
+  void ClearEvents() { log_->Clear(); }
+  /// The plan instructions of the log, in issue order.
+  std::vector<plan::Instr> executed_plan() const {
+    return log_->Snapshot().instrs;
+  }
   /// Canonical projection of executed_plan() — "OP:unit" strings comparable
   /// against a builder-emitted plan's Canonical() (tests/plan_test.cc).
-  std::vector<std::string> executed_schedule() const;
+  std::vector<std::string> executed_schedule() const {
+    return log_->Snapshot().Canonical();
+  }
   /// The step plan the shared PlanBuilder predicts for this state's options
   /// and unit structure (unit names in forward execution order). The
   /// anti-drift contract: executed_schedule() == ExpectedStepPlan()
@@ -194,18 +195,14 @@ class FsdpState {
   nn::Module& module() { return *module_; }
   const FsdpOptions& options() const { return options_; }
 
-  /// Composed FSDP×TP×PP runs: mirrors every recorded plan instruction into
-  /// `log` (not owned; nullptr detaches), tagged with pipeline `stage` and
-  /// the current composed microbatch. TP layers and the pipeline handoff
-  /// record into the same log, so one per-rank stream covers all three
-  /// axes and validates/compares against the composed builder plan. Unit
-  /// indices are remapped through the log's own name table.
-  void AttachExecLog(plan::ExecLog* log, int stage) {
-    composed_log_ = log;
-    composed_stage_ = stage;
-  }
-  /// Microbatch tag stamped on mirrored instructions (composed runs).
-  void set_composed_microbatch(int mb) { composed_mb_ = mb; }
+  /// Composed FSDP×TP×PP runs: records into `log` (not owned; nullptr
+  /// restores the state's own log), tagging entries with pipeline `stage`
+  /// and the current microbatch. TP layers and the pipeline handoff record
+  /// into the same log, so one per-rank stream covers all three axes and
+  /// compares against the composed builder plan.
+  void AttachExecLog(plan::ExecLog* log, int stage);
+  /// Microbatch tag stamped on recorded instructions (composed runs).
+  void set_composed_microbatch(int mb) { microbatch_ = mb; }
 
  private:
   struct Unit {
@@ -215,21 +212,29 @@ class FsdpState {
     bool is_root = false;
     bool inflight = false;        // unsharded but not yet consumed
     bool backward_done = false;   // this backward pass
-    double fwd_begin_us = 0;      // forward-span start (trace export)
-    double bwd_begin_us = 0;      // backward-span start (trace export)
+    int log_unit = -1;            // the unit's index in the log's names
+    int64_t gather_entry = -1;    // AllGather awaiting its Work times
+    int64_t fwd_entry = -1;       // forward compute awaiting its end
+    int64_t reduce_entry = -1;    // ReduceScatter awaiting its Work times
+    int64_t replica_entry = -1;   // replica AllReduce awaiting its times
+    double fwd_begin_us = 0;      // forward compute start
+    double bwd_begin_us = 0;      // backward compute start
   };
 
   void BuildUnits(comm::DeviceMesh& mesh);
   void InstallHooks();
-  /// Appends a typed event (and its string rendering) to the state log and
-  /// mirrors it into the global TraceCollector when that is enabled.
-  /// t_begin/t_end < 0 mean "now" (an instant event).
-  void Emit(obs::EventKind kind, const std::string& unit = "",
-            double t_begin = -1, double t_end = -1, int64_t bytes = 0);
-
-  /// Appends a typed plan instruction to the executed-plan log.
-  void RecordInstr(plan::Op op, const Unit* unit, plan::Phase phase,
-                   bool prefetch = false);
+  /// The clock when recording, else 0 (no clock read).
+  double Now() const {
+    return options_.record_events ? MonotonicMicros() : 0;
+  }
+  /// Records an entry for `op` on `unit` (nullptr: unit-less) spanning
+  /// [t_begin, t_end]; t_end 0 leaves it for a later Finish. Returns its
+  /// id, or -1 when not recording.
+  int64_t Record(plan::Op op, const Unit* unit, plan::Phase phase,
+                 double t_begin, double t_end, int64_t resident_bytes = 0,
+                 bool prefetch = false);
+  /// Times collective entry `id` from its completed Work handle.
+  void FinishCollective(int64_t id, const comm::Work& work);
 
   /// Records the first non-OK collective Status (sticky; see status()).
   void NoteError(const Status& st) {
@@ -237,6 +242,9 @@ class FsdpState {
   }
 
   void ArmIteration();  // root pre-forward: per-iteration reset
+  /// Issues a prefetch of `next` (if any) unless the rate limiter is full
+  /// (Sec 3.4), in which case the prefetch is counted as throttled.
+  void Prefetch(Unit* next, plan::Phase phase);
   /// Issues the unit's AllGather asynchronously (no-op if unsharded or
   /// already in flight) and counts it against the rate limiter. `phase` and
   /// `prefetch` annotate the recorded plan instruction.
@@ -277,12 +285,10 @@ class FsdpState {
   int throttled_prefetches_ = 0;
   int waits_on_pending_ = 0;
   Status status_;  // sticky first collective error (see status())
-  std::vector<obs::TraceEvent> trace_;   // the typed log
-  std::vector<std::string> events_;      // thin rendering of trace_
-  std::vector<plan::Instr> executed_;    // the executed-plan log
-  plan::ExecLog* composed_log_ = nullptr;  // composed-run mirror (not owned)
-  int composed_stage_ = 0;
-  int composed_mb_ = 0;
+  plan::ExecLog own_log_;
+  plan::ExecLog* log_ = &own_log_;  // own_log_ or the attached log
+  int stage_ = 0;       // pipeline stage tag (composed runs)
+  int microbatch_ = 0;  // microbatch tag (composed runs)
 };
 
 /// The functional frontend (`fully_shard`): installs FSDP on `module` via
@@ -304,7 +310,7 @@ class FullyShardedDataParallel : public nn::Module {
   std::string TypeName() const override { return "FullyShardedDataParallel"; }
 
   // Curated delegation core. Everything else — grad-sync toggles, unit
-  // introspection, schedule logs, rate-limiter counters — lives on the
+  // introspection, the execution log, rate-limiter counters — lives on the
   // shared runtime: use state().
   std::vector<Tensor> Parameters() { return state_->Parameters(); }
   std::vector<std::pair<std::string, Tensor>> FullStateDict() {
@@ -319,9 +325,8 @@ class FullyShardedDataParallel : public nn::Module {
   }
   FsdpState& state() { return *state_; }
 
-  /// Typed schedule log. (The legacy string `events()` shim was removed:
-  /// render with obs::RenderEvent when a string form is needed.)
-  const std::vector<obs::TraceEvent>& trace_events() const {
+  /// The execution log as trace events (FsdpState::trace_events()).
+  std::vector<obs::TraceEvent> trace_events() const {
     return state_->trace_events();
   }
 

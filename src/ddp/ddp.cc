@@ -2,14 +2,14 @@
 
 #include "autograd/engine.h"
 #include "common/rank_context.h"
-#include "obs/trace.h"
 
 namespace fsdp::ddp {
 
 DistributedDataParallel::DistributedDataParallel(nn::ModulePtr module,
                                                  comm::ProcessGroup pg,
                                                  DdpOptions options)
-    : module_(std::move(module)), pg_(std::move(pg)), options_(options) {
+    : module_(std::move(module)), pg_(std::move(pg)), options_(options),
+      log_(pg_.rank()) {
   FSDP_CHECK_MSG(!module_->HasFakeParameters(),
                  "DDP requires a fully materialized model (the limitation "
                  "FSDP's deferred init removes)");
@@ -36,6 +36,9 @@ void DistributedDataParallel::BuildBuckets() {
     current.numel += slot->numel();
   }
   if (!current.params.empty()) buckets_.push_back(std::move(current));
+  for (size_t b = 0; b < buckets_.size(); ++b) {
+    log_.UnitIndex("ddp_bucket" + std::to_string(b));
+  }
 
   for (size_t b = 0; b < buckets_.size(); ++b) {
     for (Tensor* slot : buckets_[b].params) {
@@ -90,35 +93,31 @@ void DistributedDataParallel::IssueBucketReduce(Bucket& bucket) {
   bucket.work = pg_.AllReduce(bucket.flat, opts);
   bucket.issued = true;
 
-  plan::Instr in;
-  in.op = plan::Op::kReduceGrad;
-  in.unit = static_cast<int>(index);
-  in.phase = plan::Phase::kBackward;
-  in.lane = plan::Lane::kComm;
-  in.bytes = bucket.numel * 4;
-  executed_.push_back(std::move(in));
+  plan::ExecEntry e;
+  e.instr.op = plan::Op::kReduceGrad;
+  e.instr.unit = static_cast<int>(index);
+  e.instr.phase = plan::Phase::kBackward;
+  e.instr.lane = plan::Lane::kComm;
+  e.instr.bytes = e.resident_bytes = bucket.numel * 4;
+  e.kind = obs::EventKind::kAllReduce;
+  bucket.entry = log_.Record(std::move(e));
 }
 
 void DistributedDataParallel::CompleteBucketReduce(Bucket& bucket) {
   NoGradGuard no_grad;
-  const int index = static_cast<int>(&bucket - buckets_.data());
-  plan::Instr in;
-  in.op = plan::Op::kWaitReduceGrad;
-  in.unit = index;
-  in.phase = plan::Phase::kBackward;
-  in.lane = plan::Lane::kHost;
-  executed_.push_back(std::move(in));
   const double t0 = MonotonicMicros();
   Status st = bucket.work.WaitStatus();
-  // Collector-only wait span, 1:1 with the kWaitReduceGrad instruction, so
-  // the profiler can join per-bucket queue/wait time (the bucket AllReduce
-  // span itself is recorded by the comm worker under the same tag).
-  if (obs::TraceCollector::Get().enabled()) {
-    obs::TraceCollector::Get().Record(obs::TraceEvent{
-        pg_.rank(), obs::EventKind::kWait,
-        "ddp_bucket" + std::to_string(index), "runtime", t0,
-        MonotonicMicros(), 0});
-  }
+  log_.Finish(bucket.entry, bucket.work.issue_us(), bucket.work.start_us(),
+              bucket.work.complete_us(), bucket.work.bytes());
+  plan::ExecEntry wait;
+  wait.instr.op = plan::Op::kWaitReduceGrad;
+  wait.instr.unit = static_cast<int>(&bucket - buckets_.data());
+  wait.instr.phase = plan::Phase::kBackward;
+  wait.instr.lane = plan::Lane::kHost;
+  wait.kind = obs::EventKind::kWait;
+  wait.t_begin_us = wait.t_exec_us = t0;
+  wait.t_end_us = MonotonicMicros();
+  log_.Record(std::move(wait));
   if (st.ok()) {
     int64_t off = 0;
     for (Tensor* slot : bucket.params) {

@@ -17,6 +17,10 @@
 //    pending buckets reduce with zero contributions, so .grad is defined for
 //    every parameter on every rank (find_unused_parameters=true semantics);
 //  * no_sync() skips reduction to accumulate gradients locally.
+//
+// The replica records what it executed once, into its per-rank
+// plan::ExecLog (units: buckets "ddp_bucket<b>"): each bucket's AllReduce,
+// timed from its Work handle at the end-of-backward wait, and that wait.
 #pragma once
 
 #include <memory>
@@ -58,14 +62,12 @@ class DistributedDataParallel : public nn::Module {
   /// after each step; OK means every bucket of the step reduced cleanly.
   const Status& status() const { return status_; }
 
-  /// Executed plan instructions: one kReduceGrad per issued bucket (in issue
-  /// order, `unit` = bucket index, `bytes` = bucket gradient bytes) and one
-  /// kWaitReduceGrad per completed bucket. Note the real bucket structure is
-  /// by parameter registration order, not the per-unit structure the
-  /// simulator's BuildDdpSimPlan assumes — the logs share the IR but are not
-  /// canonically comparable.
-  const std::vector<plan::Instr>& executed_plan() const { return executed_; }
-  void ClearExecutedPlan() { executed_.clear(); }
+  /// The execution log: one kReduceGrad (kind kAllReduce, `unit` = bucket
+  /// index, bytes = bucket gradient bytes) per issued bucket, in issue order,
+  /// and one kWaitReduceGrad per completed bucket. Real buckets follow
+  /// parameter registration order, not the per-unit structure of the
+  /// simulator's BuildDdpSimPlan: same IR, not canonically comparable.
+  const plan::ExecLog& exec_log() const { return log_; }
 
  private:
   struct Bucket {
@@ -74,6 +76,7 @@ class DistributedDataParallel : public nn::Module {
     int pending = 0;       // params not yet ready this backward
     bool issued = false;   // AllReduce issued this backward
     comm::Work work;       // completion handle of the issued AllReduce
+    int64_t entry = -1;    // its log entry, timed at completion
     Tensor flat;           // flattened grads (the AllReduce buffer)
   };
 
@@ -91,7 +94,7 @@ class DistributedDataParallel : public nn::Module {
   comm::ProcessGroup pg_;
   DdpOptions options_;
   std::vector<Bucket> buckets_;
-  std::vector<plan::Instr> executed_;
+  plan::ExecLog log_;
   Status status_;  // sticky first collective error (see status())
   bool require_sync_ = true;
   bool callback_queued_ = false;

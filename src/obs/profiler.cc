@@ -12,46 +12,6 @@ namespace fsdp::obs {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Span lookup: events bucketed by (kind, lane, unit), consumed in emission
-// order. Emission order equals issue order per key: the rank thread records
-// its own spans in program order, and each communicator drains its per-rank
-// queue FIFO, so the Nth instruction with a given key matches the Nth span.
-
-struct SpanPool {
-  std::map<std::string, std::vector<const TraceEvent*>> by_key;
-  std::map<std::string, size_t> cursor;
-
-  static std::string Key(EventKind kind, const std::string& lane,
-                         const std::string& unit) {
-    return std::string(EventKindName(kind)) + "|" + lane + "|" + unit;
-  }
-
-  explicit SpanPool(const std::vector<TraceEvent>& events) {
-    for (const TraceEvent& e : events) {
-      by_key[Key(e.kind, e.lane, e.unit)].push_back(&e);
-    }
-  }
-
-  /// Next unconsumed span for the key, or nullptr when exhausted.
-  const TraceEvent* Take(EventKind kind, const std::string& lane,
-                         const std::string& unit) {
-    const std::string key = Key(kind, lane, unit);
-    auto it = by_key.find(key);
-    if (it == by_key.end()) return nullptr;
-    size_t& cur = cursor[key];
-    if (cur >= it->second.size()) return nullptr;
-    return it->second[cur++];
-  }
-
-  /// True if any span (consumed or not) exists for the key — used to decide
-  /// between the FSDP ReduceScatter and the DDP bucket AllReduce.
-  bool Has(EventKind kind, const std::string& lane,
-           const std::string& unit) const {
-    return by_key.count(Key(kind, lane, unit)) > 0;
-  }
-};
-
 std::string UnitName(const plan::Instr& instr,
                      const std::vector<std::string>& names) {
   if (instr.unit < 0 || instr.unit >= static_cast<int>(names.size())) {
@@ -120,75 +80,6 @@ bool IsCommOp(plan::Op op) {
 }
 
 // ---------------------------------------------------------------------------
-// Join of one step's instructions against the pool.
-
-void JoinStep(StepProfile& step, SpanPool& pool) {
-  std::vector<std::string> reasons;
-  for (InstrProfile& p : step.instrs) {
-    const plan::Instr& in = p.instr;
-    const std::string name = UnitName(in, step.unit_names);
-    const TraceEvent* span = nullptr;
-    const TraceEvent* issue = nullptr;  // runtime-lane issue event (bytes)
-    switch (in.op) {
-      case plan::Op::kUnshard:
-        span = pool.Take(EventKind::kAllGather, "comm", name);
-        issue = pool.Take(EventKind::kAllGather, "runtime", name);
-        break;
-      case plan::Op::kWaitUnshard:
-        span = pool.Take(EventKind::kWait, "runtime", name);
-        break;
-      case plan::Op::kCompute:
-        span = pool.Take(in.phase == plan::Phase::kBackward
-                             ? EventKind::kBackward
-                             : EventKind::kForward,
-                         "compute", name);
-        break;
-      case plan::Op::kReduceGrad:
-        // FSDP reduces with a ReduceScatter; DDP buckets use AllReduce.
-        if (pool.Has(EventKind::kReduceScatter, "comm", name)) {
-          span = pool.Take(EventKind::kReduceScatter, "comm", name);
-          issue = pool.Take(EventKind::kReduceScatter, "runtime", name);
-        } else {
-          span = pool.Take(EventKind::kAllReduce, "comm", name);
-        }
-        break;
-      case plan::Op::kAllReduceReplicas:
-        span = pool.Take(EventKind::kAllReduce, "comm", name);
-        issue = pool.Take(EventKind::kAllReduce, "runtime", name);
-        break;
-      case plan::Op::kReshard:
-        span = pool.Take(EventKind::kReshard, "runtime", name);
-        break;
-      case plan::Op::kWaitReduceGrad:
-        span = pool.Take(EventKind::kWait, "runtime", name);
-        break;
-      default:
-        break;  // bookkeeping ops never appear in the executed logs
-    }
-    if (!span) {
-      if (reasons.size() < 4) reasons.push_back("no span for " + p.label);
-      continue;
-    }
-    p.matched = true;
-    p.matched_kind = span->kind;
-    p.t_begin_us = span->t_begin_us;
-    p.t_end_us = span->t_end_us;
-    p.t_exec_us = span->t_exec_us > 0 ? span->t_exec_us : span->t_begin_us;
-    p.bytes = span->bytes;
-    p.queue_us = std::max(0.0, p.t_exec_us - p.t_begin_us);
-    p.service_us = std::max(0.0, p.t_end_us - p.t_exec_us);
-    p.resident_bytes = issue         ? issue->bytes
-                       : in.bytes > 0 ? in.bytes
-                                      : span->bytes;
-  }
-  if (!reasons.empty()) {
-    std::string r;
-    for (const std::string& s : reasons) r += (r.empty() ? "" : "; ") + s;
-    step.incomplete_reason = r;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Derived analysis: exposed comm, lane utilization, critical path.
 
 void AnalyzeStep(StepProfile& step) {
@@ -252,9 +143,6 @@ void AnalyzeStep(StepProfile& step) {
   // backward walk from the last-finishing node always taking the
   // predecessor that finished last: the binding chain of the step.
   const int n = static_cast<int>(step.instrs.size());
-  auto name_of = [&](int i) {
-    return UnitName(step.instrs[i].instr, step.unit_names);
-  };
   auto latest_before = [&](int i, auto pred) {
     for (int j = i - 1; j >= 0; --j) {
       if (step.instrs[j].matched && pred(j)) return j;
@@ -276,54 +164,34 @@ void AnalyzeStep(StepProfile& step) {
           i, [&](int j) { return !IsCommOp(step.instrs[j].instr.op); });
       if (issuer >= 0) preds[i].push_back(issuer);
     }
-    const std::string name = name_of(i);
+    // The latest earlier instruction of the same unit matching `op_ok`.
+    auto same_unit = [&](auto op_ok) {
+      return latest_before(i, [&](int k) {
+        const plan::Instr& q = step.instrs[k].instr;
+        return q.unit == p.instr.unit && op_ok(q.op, q.phase);
+      });
+    };
+    int dep = -1;
     switch (p.instr.op) {
       case plan::Op::kWaitUnshard:
-        if (int j = latest_before(i,
-                                  [&](int k) {
-                                    return step.instrs[k].instr.op ==
-                                               plan::Op::kUnshard &&
-                                           name_of(k) == name;
-                                  });
-            j >= 0) {
-          preds[i].push_back(j);
-        }
+        dep = same_unit([](plan::Op op, plan::Phase) {
+          return op == plan::Op::kUnshard;
+        });
         break;
       case plan::Op::kCompute:
-        if (int j = latest_before(i,
-                                  [&](int k) {
-                                    const plan::Op op = step.instrs[k].instr.op;
-                                    return (op == plan::Op::kWaitUnshard ||
-                                            op == plan::Op::kUnshard) &&
-                                           name_of(k) == name;
-                                  });
-            j >= 0) {
-          preds[i].push_back(j);
-        }
+        dep = same_unit([](plan::Op op, plan::Phase) {
+          return op == plan::Op::kWaitUnshard || op == plan::Op::kUnshard;
+        });
         break;
       case plan::Op::kReduceGrad:
-        if (int j = latest_before(i,
-                                  [&](int k) {
-                                    return step.instrs[k].instr.op ==
-                                               plan::Op::kCompute &&
-                                           step.instrs[k].instr.phase ==
-                                               plan::Phase::kBackward &&
-                                           name_of(k) == name;
-                                  });
-            j >= 0) {
-          preds[i].push_back(j);
-        }
+        dep = same_unit([](plan::Op op, plan::Phase phase) {
+          return op == plan::Op::kCompute && phase == plan::Phase::kBackward;
+        });
         break;
       case plan::Op::kAllReduceReplicas:
-        if (int j = latest_before(i,
-                                  [&](int k) {
-                                    return step.instrs[k].instr.op ==
-                                               plan::Op::kReduceGrad &&
-                                           name_of(k) == name;
-                                  });
-            j >= 0) {
-          preds[i].push_back(j);
-        }
+        dep = same_unit([](plan::Op op, plan::Phase) {
+          return op == plan::Op::kReduceGrad;
+        });
         break;
       case plan::Op::kWaitReduceGrad:
         for (int j = 0; j < i; ++j) {
@@ -340,6 +208,7 @@ void AnalyzeStep(StepProfile& step) {
       default:
         break;
     }
+    if (dep >= 0) preds[i].push_back(dep);
   }
   int cur = -1;
   for (int i = 0; i < n; ++i) {
@@ -452,21 +321,37 @@ void AppendNum(std::ostringstream& out, double v) {
   out.unsetf(std::ios_base::floatfield);
 }
 
+/// One log entry as a profile row: times and bytes straight from the log.
+InstrProfile FromEntry(const plan::ExecEntry& e,
+                       const std::vector<std::string>& names) {
+  InstrProfile p;
+  p.instr = e.instr;
+  p.label = plan::RenderInstr(e.instr, names);
+  p.matched = e.t_end_us > 0;
+  if (!p.matched) return p;
+  p.matched_kind = e.kind;
+  p.t_begin_us = e.t_begin_us;
+  p.t_end_us = e.t_end_us;
+  p.t_exec_us = e.t_exec_us > 0 ? e.t_exec_us : e.t_begin_us;
+  p.bytes = e.bytes;
+  p.resident_bytes = e.resident_bytes;
+  p.queue_us = std::max(0.0, p.t_exec_us - p.t_begin_us);
+  p.service_us = std::max(0.0, p.t_end_us - p.t_exec_us);
+  return p;
+}
+
 }  // namespace
 
 std::vector<StepProfile> BuildStepProfiles(const ProfileInputs& in) {
   std::vector<StepProfile> steps;
   StepProfile cur;
   cur.unit_names = in.unit_names;
-  for (size_t i = 0; i < in.instrs.size(); ++i) {
-    InstrProfile p;
-    p.instr = in.instrs[i];
-    p.label = plan::RenderInstr(in.instrs[i], in.unit_names);
-    cur.instrs.push_back(std::move(p));
+  for (size_t i = 0; i < in.entries.size(); ++i) {
+    cur.instrs.push_back(FromEntry(in.entries[i], in.unit_names));
     const bool step_end =
-        in.instrs[i].op == plan::Op::kWaitReduceGrad &&
-        (i + 1 >= in.instrs.size() ||
-         in.instrs[i + 1].op != plan::Op::kWaitReduceGrad);
+        in.entries[i].instr.op == plan::Op::kWaitReduceGrad &&
+        (i + 1 >= in.entries.size() ||
+         in.entries[i + 1].instr.op != plan::Op::kWaitReduceGrad);
     if (step_end) {
       steps.push_back(std::move(cur));
       cur = StepProfile();
@@ -475,19 +360,16 @@ std::vector<StepProfile> BuildStepProfiles(const ProfileInputs& in) {
   }
   if (!cur.instrs.empty()) steps.push_back(std::move(cur));
 
-  SpanPool pool(in.events);
   for (StepProfile& step : steps) {
-    JoinStep(step, pool);
     AnalyzeStep(step);
-    const bool all_matched =
+    const bool finished =
         std::all_of(step.instrs.begin(), step.instrs.end(),
                     [](const InstrProfile& p) { return p.matched; });
-    step.complete = all_matched && in.status.ok();
-    if (!all_matched && step.incomplete_reason.empty()) {
-      step.incomplete_reason = "unmatched instructions";
-    }
-    if (all_matched && !in.status.ok()) {
+    step.complete = finished && in.status.ok();
+    if (!in.status.ok()) {
       step.incomplete_reason = "runtime error: " + in.status.message();
+    } else if (!finished) {
+      step.incomplete_reason = "step still in flight";
     }
   }
   AttributeMemory(steps);

@@ -1,24 +1,16 @@
-// Per-instruction step profiler: joins the executed plan with trace spans.
+// Per-instruction step profiler over a rank's execution log.
 //
-// The runtime leaves two records of every step behind: the typed executed
-// plan (FsdpState::executed_plan() / DistributedDataParallel's bucket log —
-// WHAT ran, in issue order) and the TraceCollector spans (WHEN it ran —
-// comm-worker collective spans on the "comm" lane, unit compute spans on
-// "compute", wait/reshard spans on "runtime"). Neither alone answers the
-// paper's tuning questions (where does the step's time go? is communication
-// overlapped or exposed?), so this module joins them:
+// The runtime records every step into one per-rank plan::ExecLog
+// (FsdpState::exec_log() / DistributedDataParallel::exec_log()): WHAT ran,
+// in issue order, and WHEN — collectives with their Work handle's issue,
+// worker-pickup and completion times, computes/waits/reshards with the
+// times their hooks stamped. The profiler reads those times directly (the
+// TraceCollector may be off) to answer the paper's tuning questions: where
+// does the step's time go, and is communication overlapped or exposed?
 //
-//   executed Instr ──(kind, lane, tag, occurrence#)──▶ TraceEvent span
+//   ExecEntry ──▶ InstrProfile (queue = exec - begin, service = end - exec)
 //
-// Matching is cursor-based: spans with the same (kind, lane, unit) key are
-// consumed in emission order, which equals issue order because each
-// communicator drains its per-rank queue FIFO and the rank thread emits its
-// own spans in program order. Every instruction therefore matches exactly
-// one span; an instruction with no span left (collective never completed,
-// collector disabled mid-run) marks the StepProfile incomplete instead of
-// producing a garbage join.
-//
-// On top of the join sit:
+// On top of that sit:
 //   * exposed-vs-overlapped communication (comm service time not covered by
 //     busy compute — compute spans minus wait spans) and overlap_efficiency;
 //   * critical-path analysis: walk the structural dependency edges backward
@@ -28,6 +20,9 @@
 //     (AllGather completions add bytes, reshards subtract them);
 //   * cross-step aggregation (p50/p95 per instruction label), prof.*
 //     metrics, PROFILE_<name>.json artifacts and Chrome counter tracks.
+//
+// A step whose runtime surfaced a sticky error (aborted collective) is
+// marked incomplete with the error as its reason.
 #pragma once
 
 #include <cstdint>
@@ -42,21 +37,22 @@
 
 namespace fsdp::obs {
 
-/// One executed instruction joined with its measured span.
+/// One executed instruction with its measured times.
 struct InstrProfile {
   plan::Instr instr;
   std::string label;       // plan::RenderInstr(instr, unit_names)
+  /// True when the entry carries measured times (it finished).
   bool matched = false;
-  /// Kind of the span this instruction matched (kReduceGrad resolves to
-  /// kReduceScatter under FSDP but kAllReduce for a DDP bucket).
+  /// What the instruction executed as (kReduceGrad is a kReduceScatter
+  /// under FSDP but a kAllReduce for a DDP bucket).
   EventKind matched_kind = EventKind::kMarker;
 
-  double t_begin_us = 0;   // span begin (comm: issue time on the rank thread)
+  double t_begin_us = 0;   // begin (comm: issue time on the rank thread)
   double t_exec_us = 0;    // comm: worker pickup; others: == t_begin_us
-  double t_end_us = 0;     // span completion
-  int64_t bytes = 0;       // payload of the matched span (comm wire bytes)
-  /// Full (unsharded / bucket) payload the instruction manipulates, from the
-  /// runtime's issue-order event or the instruction itself; 0 if unknown.
+  double t_end_us = 0;     // completion
+  int64_t bytes = 0;       // comm wire bytes
+  /// Full (unsharded / bucket) payload the instruction manipulates; 0 if
+  /// unknown.
   int64_t resident_bytes = 0;
 
   double queue_us = 0;     // t_exec - t_begin: comm-worker queue delay
@@ -73,14 +69,14 @@ struct LaneUsage {
   double utilization = 0;  // busy / step span
 };
 
-/// One training step: the joined instruction table plus derived analysis.
+/// One training step: the instruction table plus derived analysis.
 struct StepProfile {
   std::vector<std::string> unit_names;
   std::vector<InstrProfile> instrs;
 
-  /// False when any instruction failed to match a span or the runtime
-  /// surfaced a sticky error (aborted collective) — derived quantities are
-  /// then best-effort and comparisons against them should be skipped.
+  /// False when the runtime surfaced a sticky error (aborted collective) or
+  /// an instruction has not finished — derived quantities are then
+  /// best-effort and comparisons against them should be skipped.
   bool complete = false;
   std::string incomplete_reason;
 
@@ -101,22 +97,20 @@ struct StepProfile {
   std::vector<std::string> peak_units;   // units resident at that peak
 };
 
-/// Everything the join needs for one rank. `instrs` may span several steps
-/// (the executed log accumulates); `events` is that rank's collector
-/// snapshot (TraceCollector::Get().SnapshotRank(rank)) covering the same
-/// steps. `status` is the runtime's sticky error (FsdpState::status() /
+/// Everything the profiler needs for one rank. `entries` is the rank's
+/// execution log (ExecLog::Entries()), possibly spanning several steps;
+/// `status` is the runtime's sticky error (FsdpState::status() /
 /// DistributedDataParallel::status()).
 struct ProfileInputs {
-  std::vector<plan::Instr> instrs;
+  std::vector<plan::ExecEntry> entries;
   std::vector<std::string> unit_names;
   int rank = 0;
-  std::vector<TraceEvent> events;
   Status status;
 };
 
-/// Splits the executed log into steps (a step ends at its trailing run of
-/// kWaitReduceGrad instructions; no_sync accumulation folds into the next
-/// synchronizing step) and joins each step against the spans.
+/// Splits the log into steps (a step ends at its trailing run of
+/// kWaitReduceGrad entries; no_sync accumulation folds into the next
+/// synchronizing step) and analyzes each.
 std::vector<StepProfile> BuildStepProfiles(const ProfileInputs& in);
 
 /// Cross-step stats for one instruction label (nearest-rank percentiles of
@@ -152,7 +146,7 @@ ProfileAggregate AggregateProfiles(const std::vector<StepProfile>& steps);
 /// prof.incomplete_steps.
 void PublishProfileMetrics(const std::vector<StepProfile>& steps);
 
-/// Chrome counter tracks derived from the joined spans: "unsharded_bytes"
+/// Chrome counter tracks derived from the profiles: "unsharded_bytes"
 /// (parameter residency) and "inflight_collectives" (issued-not-complete).
 std::vector<CounterTrack> ProfileCounterTracks(
     const std::vector<StepProfile>& steps, int rank);

@@ -13,10 +13,8 @@ const char* EventKindName(EventKind kind) {
     case EventKind::kAllToAll: return "A2A";
     case EventKind::kForward: return "FWD";
     case EventKind::kBackward: return "BWD";
-    case EventKind::kPreBackward: return "PREBWD";
     case EventKind::kReshard: return "RESHARD";
     case EventKind::kThrottle: return "THROTTLE";
-    case EventKind::kOrderChanged: return "ORDER_CHANGED";
     case EventKind::kOptimStep: return "OPTIM";
     case EventKind::kH2D: return "H2D";
     case EventKind::kD2H: return "D2H";
@@ -48,17 +46,33 @@ bool TraceCollector::enabled() const {
   return enabled_.load(std::memory_order_relaxed);
 }
 
+TraceCollector::RankBuffer& TraceCollector::Buffer(int rank) {
+  rank = std::max(0, rank);
+  {
+    std::shared_lock<std::shared_mutex> lock(buffers_mu_);
+    auto it = buffers_.find(rank);
+    if (it != buffers_.end()) return *it->second;
+  }
+  std::unique_lock<std::shared_mutex> lock(buffers_mu_);
+  std::unique_ptr<RankBuffer>& slot = buffers_[rank];
+  if (!slot) slot = std::make_unique<RankBuffer>();
+  return *slot;
+}
+
 void TraceCollector::Record(TraceEvent e) {
-  RankBuffer& buf = buffers_[Slot(e.rank)];
+  RankBuffer& buf = Buffer(e.rank);
   std::lock_guard<std::mutex> lock(buf.mu);
   buf.events.push_back(std::move(e));
 }
 
 std::vector<TraceEvent> TraceCollector::Snapshot() const {
   std::vector<TraceEvent> out;
-  for (const RankBuffer& buf : buffers_) {
-    std::lock_guard<std::mutex> lock(buf.mu);
-    out.insert(out.end(), buf.events.begin(), buf.events.end());
+  {
+    std::shared_lock<std::shared_mutex> map_lock(buffers_mu_);
+    for (const auto& [rank, buf] : buffers_) {
+      std::lock_guard<std::mutex> lock(buf->mu);
+      out.insert(out.end(), buf->events.begin(), buf->events.end());
+    }
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
@@ -71,24 +85,28 @@ std::vector<TraceEvent> TraceCollector::Snapshot() const {
 }
 
 std::vector<TraceEvent> TraceCollector::SnapshotRank(int rank) const {
-  const RankBuffer& buf = buffers_[Slot(rank)];
-  std::lock_guard<std::mutex> lock(buf.mu);
-  return buf.events;
+  std::shared_lock<std::shared_mutex> map_lock(buffers_mu_);
+  auto it = buffers_.find(std::max(0, rank));
+  if (it == buffers_.end()) return {};
+  std::lock_guard<std::mutex> lock(it->second->mu);
+  return it->second->events;
 }
 
 size_t TraceCollector::size() const {
+  std::shared_lock<std::shared_mutex> map_lock(buffers_mu_);
   size_t n = 0;
-  for (const RankBuffer& buf : buffers_) {
-    std::lock_guard<std::mutex> lock(buf.mu);
-    n += buf.events.size();
+  for (const auto& [rank, buf] : buffers_) {
+    std::lock_guard<std::mutex> lock(buf->mu);
+    n += buf->events.size();
   }
   return n;
 }
 
 void TraceCollector::Clear() {
-  for (RankBuffer& buf : buffers_) {
-    std::lock_guard<std::mutex> lock(buf.mu);
-    buf.events.clear();
+  std::shared_lock<std::shared_mutex> map_lock(buffers_mu_);
+  for (const auto& [rank, buf] : buffers_) {
+    std::lock_guard<std::mutex> lock(buf->mu);
+    buf->events.clear();
   }
 }
 
@@ -108,20 +126,6 @@ TraceSpan::~TraceSpan() {
   if (!armed_) return;
   e_.t_end_us = MonotonicMicros();
   TraceCollector::Get().Record(std::move(e_));
-}
-
-void RecordInstant(EventKind kind, std::string unit, std::string lane,
-                   int64_t bytes) {
-  TraceCollector& c = TraceCollector::Get();
-  if (!c.enabled()) return;
-  TraceEvent e;
-  e.rank = std::max(0, CurrentRank());
-  e.kind = kind;
-  e.unit = std::move(unit);
-  e.lane = std::move(lane);
-  e.bytes = bytes;
-  e.t_begin_us = e.t_end_us = MonotonicMicros();
-  c.Record(std::move(e));
 }
 
 }  // namespace fsdp::obs

@@ -12,20 +12,24 @@
 //   * the simulator stamps *virtual* time, via TraceCollector::Record with
 //     explicit timestamps.
 //
-// Events land in per-rank buffers inside the process-global TraceCollector.
-// Each rank thread appends only to its own buffer, so the hot path takes an
-// uncontended per-rank mutex ("lock-free-ish"); cross-rank merging happens
+// Events land in per-rank buffers inside the process-global TraceCollector,
+// created on a rank's first event (any rank number, no fixed table). Each
+// rank thread appends only to its own buffer; cross-rank merging happens
 // only at snapshot time. Recording is off by default — TraceSpan reads one
 // relaxed atomic and does nothing when disabled.
 //
-// FsdpState additionally keeps its *own* ordered typed log (the schedule-
-// assertion surface for tests); the collector is the cross-cutting export
-// surface (Chrome trace / Perfetto, see chrome_trace.h).
+// FSDP and DDP keep no trace logs of their own: their events are a view of
+// their per-rank plan::ExecLog (plan::ExecLog::TraceEvents), published as
+// entries finish. The collector is the export surface (Chrome trace, see
+// chrome_trace.h) that also gets comm-worker and simulator spans.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -41,10 +45,8 @@ enum class EventKind : int {
   kAllToAll,
   kForward,         // unit forward compute ("FWD")
   kBackward,        // unit backward compute ("BWD", simulator)
-  kPreBackward,     // pre-backward anchor fired ("PREBWD")
   kReshard,         // unsharded storage freed ("RESHARD")
   kThrottle,        // rate limiter deferred a prefetch ("THROTTLE")
-  kOrderChanged,    // dynamic-graph order change ("ORDER_CHANGED")
   kOptimStep,       // optimizer step (simulator)
   kH2D,             // host-to-device copy (CPU offload, simulator)
   kD2H,
@@ -75,23 +77,21 @@ struct TraceEvent {
   double duration_us() const { return t_end_us - t_begin_us; }
 };
 
-/// Legacy rendering: "AG:blocks.0", "ORDER_CHANGED". The string events()
-/// views across the library are generated through this.
+/// String rendering: "AG:blocks.0", or the bare kind for unit-less events.
 std::string RenderEvent(const TraceEvent& e);
 
 /// Process-global sink for trace events, partitioned by rank.
 class TraceCollector {
  public:
-  static constexpr int kMaxRanks = 64;
-
   static TraceCollector& Get();
 
   /// Global on/off. Off (the default) makes Record()/TraceSpan no-ops.
   void set_enabled(bool on);
   bool enabled() const;
 
-  /// Appends to the buffer of e.rank (clamped into [0, kMaxRanks)). Safe to
-  /// call concurrently from any thread; ranks never contend with each other.
+  /// Appends to the buffer of e.rank (negative ranks record as rank 0). Safe
+  /// to call concurrently from any thread; ranks never contend with each
+  /// other once their buffers exist.
   void Record(TraceEvent e);
 
   /// All events of all ranks, merged and sorted by (t_begin, rank).
@@ -109,13 +109,13 @@ class TraceCollector {
     std::vector<TraceEvent> events;
   };
 
-  static int Slot(int rank) {
-    if (rank < 0) return 0;
-    return rank % kMaxRanks;
-  }
+  /// The buffer of `rank`, created on first use. Buffers live as long as the
+  /// collector, so the reference stays valid after the map lock is dropped.
+  RankBuffer& Buffer(int rank);
 
   std::atomic<bool> enabled_{false};
-  RankBuffer buffers_[kMaxRanks];
+  mutable std::shared_mutex buffers_mu_;  // guards the map, not the buffers
+  std::map<int, std::unique_ptr<RankBuffer>> buffers_;
 };
 
 /// RAII span: stamps t_begin at construction and records the event at
@@ -134,10 +134,6 @@ class TraceSpan {
   bool armed_;
   TraceEvent e_;
 };
-
-/// Records an instant event at the current time (armed only when enabled).
-void RecordInstant(EventKind kind, std::string unit, std::string lane,
-                   int64_t bytes = 0);
 
 }  // namespace fsdp::obs
 

@@ -66,7 +66,7 @@ obs::EventKind ToEventKind(Op op, Phase phase) {
     case Op::kFreeGrad:
     case Op::kFreeAct: return obs::EventKind::kAlloc;
     case Op::kWaitUnshard:
-    case Op::kWaitReduceGrad: return obs::EventKind::kMarker;
+    case Op::kWaitReduceGrad: return obs::EventKind::kWait;
     case Op::kTpAllGather: return obs::EventKind::kAllGather;
     case Op::kTpAllReduce: return obs::EventKind::kAllReduce;
     case Op::kSendAct: return obs::EventKind::kSend;
@@ -193,23 +193,93 @@ int ExecLog::UnitIndex(const std::string& name) {
   return static_cast<int>(unit_names_.size()) - 1;
 }
 
-void ExecLog::Record(Instr instr) {
+int64_t ExecLog::Record(ExecEntry entry) {
   std::lock_guard<std::mutex> lock(mu_);
-  instrs_.push_back(std::move(instr));
+  if (entry.t_end_us > 0) Publish(entry);
+  entries_.push_back(std::move(entry));
+  return first_id_ + static_cast<int64_t>(entries_.size()) - 1;
+}
+
+int64_t ExecLog::Record(Instr instr) {
+  ExecEntry entry;
+  entry.kind = ToEventKind(instr.op, instr.phase);
+  entry.instr = std::move(instr);
+  return Record(std::move(entry));
+}
+
+void ExecLog::Finish(int64_t id, double t_begin_us, double t_exec_us,
+                     double t_end_us, int64_t bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const int64_t i = id - first_id_;
+  if (i < 0 || i >= static_cast<int64_t>(entries_.size())) return;
+  ExecEntry& e = entries_[static_cast<size_t>(i)];
+  e.t_begin_us = t_begin_us;
+  e.t_exec_us = t_exec_us;
+  e.t_end_us = t_end_us;
+  e.bytes = bytes;
+  Publish(e);
+}
+
+void ExecLog::AppendTraceEvents(const ExecEntry& entry,
+                                std::vector<obs::TraceEvent>* out) const {
+  obs::TraceEvent e;
+  e.rank = rank_;
+  e.kind = entry.kind;
+  const int u = entry.instr.unit;
+  if (u >= 0 && u < static_cast<int>(unit_names_.size())) {
+    e.unit = unit_names_[static_cast<size_t>(u)];
+  }
+  e.lane = "runtime";
+  e.t_begin_us = entry.t_begin_us;
+  // Host entries (waits, reshards) occupy the rank thread for their whole
+  // span; collectives run on the comm worker and computes get their own
+  // lane, so the rank thread only marks where it issued or started them.
+  e.t_end_us = entry.instr.lane == Lane::kHost ? entry.t_end_us
+                                               : entry.t_begin_us;
+  e.bytes = entry.resident_bytes;
+  out->push_back(e);
+  if (entry.instr.op == Op::kCompute) {
+    e.lane = "compute";
+    e.t_end_us = entry.t_end_us;
+    e.bytes = 0;
+    out->push_back(std::move(e));
+  }
+}
+
+void ExecLog::Publish(const ExecEntry& entry) const {
+  obs::TraceCollector& collector = obs::TraceCollector::Get();
+  if (!collector.enabled()) return;
+  std::vector<obs::TraceEvent> events;
+  AppendTraceEvents(entry, &events);
+  for (obs::TraceEvent& e : events) collector.Record(std::move(e));
 }
 
 StepPlan ExecLog::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   StepPlan plan;
   plan.unit_names = unit_names_;
-  plan.instrs = instrs_;
+  plan.instrs.reserve(entries_.size());
+  for (const ExecEntry& e : entries_) plan.instrs.push_back(e.instr);
   return plan;
+}
+
+std::vector<ExecEntry> ExecLog::Entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_;
+}
+
+std::vector<obs::TraceEvent> ExecLog::TraceEvents() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<obs::TraceEvent> out;
+  out.reserve(entries_.size());
+  for (const ExecEntry& e : entries_) AppendTraceEvents(e, &out);
+  return out;
 }
 
 void ExecLog::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  unit_names_.clear();
-  instrs_.clear();
+  first_id_ += static_cast<int64_t>(entries_.size());
+  entries_.clear();
 }
 
 }  // namespace fsdp::plan

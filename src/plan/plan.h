@@ -13,8 +13,8 @@
 // Two layers consume the same IR:
 //
 //   * the REAL runtime (core::FsdpState, ddp::DistributedDataParallel)
-//     records the instructions it actually executes, in issue order, into an
-//     executed-plan log;
+//     records the instructions it actually executes, in issue order and
+//     with their measured times, into one per-rank ExecLog;
 //   * the SIMULATOR (simfsdp::FsdpSimulator / DdpSimulator) interprets a
 //     StepPlan emitted by the builder (plan/builder.h) against the
 //     virtual-time substrate — streams, caching allocator, cost models.
@@ -138,7 +138,7 @@ const char* AxisName(Axis axis);
 std::string LaneTrackName(const Instr& instr);
 
 /// The obs::TraceEvent kind an instruction maps to when exported (the
-/// plan -> trace-lane contract shared by both layers).
+/// plan -> trace-lane contract shared by both layers). Waits map to kWait.
 obs::EventKind ToEventKind(Op op, Phase phase);
 
 /// Renders one instruction as "OP:unit" (e.g. "UNSHARD:blocks.0",
@@ -172,25 +172,71 @@ std::vector<std::string> CanonicalSchedule(
 /// stage executes — comparable against a per-rank executed log.
 StepPlan FilterStage(const StepPlan& plan, int stage);
 
-/// Thread-safe executed-instruction recorder shared by the FSDP hooks, the
-/// TP layers, and the pipeline-stage handoffs of one rank, so a composed
-/// run's real execution order lands in ONE log in issue order (the
-/// composed half of the anti-drift contract). Unit names are interned on
-/// first use.
+/// One executed instruction with its measured times (MonotonicMicros) and
+/// payload. Collectives are timed from their comm::Work handle (issue,
+/// worker pickup, completion); computes, waits and reshards by the hook that
+/// records them (t_exec_us == t_begin_us). t_end_us is 0 until the entry
+/// finishes; composed runs' TP and pipeline records carry no times.
+struct ExecEntry {
+  Instr instr;
+  /// What the action is as a trace event: ToEventKind(op, phase), except
+  /// that a DDP bucket's kReduceGrad is an AllReduce.
+  obs::EventKind kind = obs::EventKind::kMarker;
+  double t_begin_us = 0;
+  double t_exec_us = 0;
+  double t_end_us = 0;
+  int64_t bytes = 0;           // collective wire bytes (comm::Work::bytes)
+  int64_t resident_bytes = 0;  // full unsharded-parameter / bucket bytes
+};
+
+/// The per-rank execution log: what one rank executed, in issue order, with
+/// times. FSDP hooks, DDP buckets, TP layers and pipeline handoffs of a rank
+/// record into one log, so a composed run lands in ONE stream (the composed
+/// half of the anti-drift contract). An entry recorded at issue is finished
+/// later through the id Record returns; finished entries are published to
+/// the TraceCollector when it is enabled. Unit names are interned on first
+/// use. Thread-safe.
 class ExecLog {
  public:
+  /// `rank` attributes the trace events this log publishes.
+  explicit ExecLog(int rank = 0) : rank_(rank) {}
+
   /// Returns the interned unit index for `name` (appending if new).
   int UnitIndex(const std::string& name);
-  void Record(Instr instr);
-  /// Snapshot as a StepPlan (no dependency edges — executed logs are
-  /// order-only, like FsdpState::executed_plan()).
+  /// Appends `entry` and returns its id. A finished entry (t_end_us > 0) is
+  /// published at once.
+  int64_t Record(ExecEntry entry);
+  /// Appends an untimed entry for `instr` (kind from ToEventKind).
+  int64_t Record(Instr instr);
+  /// Sets the times and wire bytes of entry `id` and publishes it. Ids from
+  /// before the last Clear() are ignored.
+  void Finish(int64_t id, double t_begin_us, double t_exec_us,
+              double t_end_us, int64_t bytes = 0);
+
+  /// Snapshot as a StepPlan: instructions only, no dependency edges.
   StepPlan Snapshot() const;
+  std::vector<ExecEntry> Entries() const;
+  /// The trace view, in log order, built by the one entry -> event mapping
+  /// (also what Publish sends): every entry yields its "runtime"-lane event
+  /// — collective issues and computes as instants at t_begin_us, waits and
+  /// reshards as spans — and a compute also its "compute"-lane span.
+  std::vector<obs::TraceEvent> TraceEvents() const;
+  /// Drops the entries; the unit-name table stays, so interned indices
+  /// remain valid.
   void Clear();
 
  private:
+  /// Appends the trace events of `entry` to `out` (mu_ held).
+  void AppendTraceEvents(const ExecEntry& entry,
+                         std::vector<obs::TraceEvent>* out) const;
+  /// Sends `entry`'s events to the TraceCollector if enabled (mu_ held).
+  void Publish(const ExecEntry& entry) const;
+
+  int rank_;
   mutable std::mutex mu_;
   std::vector<std::string> unit_names_;
-  std::vector<Instr> instrs_;
+  std::vector<ExecEntry> entries_;
+  int64_t first_id_ = 0;  // id of entries_[0]
 };
 
 }  // namespace fsdp::plan

@@ -56,10 +56,6 @@ double PeakTflops(const SimConstants& c, DType dtype) {
   return c.peak_fp32_tflops;
 }
 
-double HalfPeak(const SimConstants& c, const Group& g) {
-  return g.intra_host() ? c.half_peak_bytes_intra : c.half_peak_bytes_inter;
-}
-
 /// Moved-bytes-per-rank of the model's ring formulas (topology.cc).
 double MovedBytes(obs::EventKind kind, int64_t total_bytes, const Group& g) {
   const int64_t chunk = total_bytes / std::max(g.size, 1);

@@ -182,7 +182,7 @@ TEST(CalibrateTest, CalibrationReducesErrorOnRecordedFsdpRun) {
       autograd::RunBackward(loss);
     }
     if (rank == 0) {
-      in.instrs = state->executed_plan();
+      in.entries = state->exec_log().Entries();
       for (int u = 0; u < state->num_units(); ++u) {
         in.unit_names.push_back(state->unit_name(u));
       }
@@ -191,7 +191,6 @@ TEST(CalibrateTest, CalibrationReducesErrorOnRecordedFsdpRun) {
   });
   collector.set_enabled(false);
   in.rank = 0;
-  in.events = collector.SnapshotRank(0);
   collector.Clear();
 
   const auto steps = obs::BuildStepProfiles(in);

@@ -202,8 +202,8 @@ TEST(CheckpointFsdpTest, TrainingMatchesLocalAndReAllGathers) {
     // Each checkpointed block is AllGathered twice: once in forward, once
     // for the backward recompute.
     int ag_block0 = 0;
-    for (const auto& e : state->events()) {
-      if (e == "AG:blocks.0.inner") ++ag_block0;
+    for (const auto& e : state->trace_events()) {
+      if (obs::RenderEvent(e) == "AG:blocks.0.inner") ++ag_block0;
     }
     ASSERT_EQ(ag_block0, 2) << "expected forward + recompute AllGathers";
   });

@@ -499,6 +499,10 @@ TEST(ComposedAntiDriftTest, RealRunMatchesBuilderAndSimulator) {
         log.Record(P2pRecord(Op::kSendAct, Phase::kBackward, 1, 0, mb));
       }
     }
+    // The FSDP hooks recorded straight into `log`: the state's log is the
+    // attached one, so its view and the log's snapshot are the same entries.
+    EXPECT_EQ(&state->exec_log(), &log);
+    EXPECT_EQ(state->executed_plan().size(), log.Snapshot().instrs.size());
     std::lock_guard<std::mutex> lock(mu);
     snaps[static_cast<size_t>(r)] = log.Snapshot();
     fsdp_status[static_cast<size_t>(r)] = state->status();

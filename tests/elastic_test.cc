@@ -38,16 +38,14 @@ using elastic::TrainLoopDriver;
 using elastic::WorldView;
 using fsdp::testing::ExpectAllClose;
 
-void UseTempArtifactDir() {
-  ::setenv("FSDP_ARTIFACT_DIR", ::testing::TempDir().c_str(), 1);
-}
+using fsdp::testing::UseTempArtifactDir;
 
 int64_t Counter(const std::string& name) {
   return obs::MetricsRegistry::Get().GetCounter(name).value();
 }
 
 std::string TempStem(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  return testing::ProcessTempDir() + "/" + name;
 }
 
 void RemoveShardFiles(const std::string& stem) {
@@ -332,7 +330,7 @@ TEST(ElasticDrillTest, KillRankMidBackwardRecoversBitwiseIdentical) {
 
   // The recovery artifact is a valid versioned artifact with the story.
   const std::string artifact =
-      std::string(::testing::TempDir()) + "/RECOVERY_kill_drill.json";
+      testing::ProcessTempDir() + "/RECOVERY_kill_drill.json";
   ASSERT_TRUE(std::filesystem::exists(artifact));
   auto parsed = obs::ParseJsonFile(artifact);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();

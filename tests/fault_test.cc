@@ -4,6 +4,7 @@
 // with the abort Status, no keepalive leaks), the flight-recorder JSON dump,
 // Barrier() routed through the Issue() path, and error propagation out of
 // the FSDP / DDP train step (the step degrades instead of crashing).
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -39,11 +40,9 @@ int64_t Counter(const std::string& name) {
   return obs::MetricsRegistry::Get().GetCounter(name).value();
 }
 
-/// Dumps land under obs::ArtifactPath; point it at the test temp dir (ctest
-/// runs from build/tests, where ./build does not exist).
-void UseTempArtifactDir() {
-  ::setenv("FSDP_ARTIFACT_DIR", ::testing::TempDir().c_str(), 1);
-}
+// Dumps land under obs::ArtifactPath; ctest runs from build/tests, where
+// ./build does not exist, so tests point it at their own temp dir.
+using fsdp::testing::UseTempArtifactDir;
 
 nn::ModulePtr MakeModel(uint64_t seed) {
   nn::InitCtx ctx(Device::kCpu, seed);
@@ -111,6 +110,58 @@ TEST(FaultTest, WatchdogAbortsHungCollectiveAndNamesCulprit) {
   EXPECT_TRUE(std::filesystem::exists(comm->flight_dump_path()));
   EXPECT_GE(Counter("comm.timeouts"), timeouts_before + 1);
   EXPECT_GE(Counter("comm.aborts"), aborts_before + 1);
+}
+
+// Abort-path teardown race: the watchdog of a mesh's world communicator
+// fires and propagates the abort through the mesh's failure domain while the
+// woken rank threads drop the last references to every communicator. No
+// thread a communicator owns may end up holding the last reference to it —
+// its destructor would join that very thread and terminate the process with
+// "Resource deadlock avoided". Loops a fixed number of generations.
+TEST(FaultTest, MeshTeardownRacingAbortPropagationNeverSelfJoins) {
+  UseTempArtifactDir();  // one flight dump per generation
+  // Two busy threads oversubscribe the cores, so the aborting watchdog
+  // thread gets preempted mid-propagation as it does on a loaded machine
+  // (without them the race almost never fires in an otherwise idle process).
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> hogs;
+  for (int i = 0; i < 2; ++i) {
+    hogs.emplace_back([&stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+      }
+    });
+  }
+  const int w = 4;
+  constexpr int kGenerations = 60;
+  for (int gen = 0; gen < kGenerations; ++gen) {
+    std::vector<std::vector<comm::ProcessGroup>> groups(w);
+    {
+      std::shared_ptr<comm::DeviceMesh> mesh;
+      ASSERT_TRUE(
+          comm::DeviceMesh::Create(w, {{"dp", 2}, {"tp", 2}}, &mesh).ok());
+      mesh->SetDefaultTimeout(10);
+      for (int r = 0; r < w; ++r) {
+        comm::ProcessGroup dp, tp;
+        ASSERT_TRUE(mesh->Slice("dp", r, &dp).ok());
+        ASSERT_TRUE(mesh->Slice("tp", r, &tp).ok());
+        groups[r] = {mesh->WorldGroup(r), dp, tp};
+      }
+      // Rank `gen % w` dies in the generation's world collective.
+      groups[0][0].communicator()->InjectFault(
+          {FaultKind::kHang, /*rank=*/gen % w, /*seq=*/0, "", 0});
+    }  // from here on the rank threads own every communicator
+    RunOnRanks(w, [&](int r) {
+      // Start every communicator's worker threads. Under load the world's
+      // watchdog may already have aborted the mesh, so these may fail too.
+      float v = 1.f;
+      (void)groups[r][1].AllReduce(&v, 1).WaitStatus();
+      (void)groups[r][2].AllReduce(&v, 1).WaitStatus();
+      EXPECT_FALSE(groups[r][0].AllReduce(&v, 1).WaitStatus().ok());
+      groups[r].clear();  // drop this rank's references at once
+    });
+  }
+  stop = true;
+  for (std::thread& t : hogs) t.join();
 }
 
 TEST(FaultTest, DesyncDetectionNamesSkippingRank) {

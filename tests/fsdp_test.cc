@@ -540,9 +540,8 @@ TEST(MixedPrecisionTest, Fp16WithShardedScalerTrains) {
 
 // ------------------------------------------------- prefetching & rate limit
 
-// Position of the first typed event matching (kind, unit) in the schedule
-// log, -1 if absent. Schedule assertions work on the typed log; the string
-// events() view stays covered by the wrapper/functional equivalence tests.
+// Position of the first typed event matching (kind, unit) in the execution
+// log's trace view, -1 if absent.
 int IndexOf(const std::vector<obs::TraceEvent>& events, obs::EventKind kind,
             const std::string& unit) {
   for (size_t i = 0; i < events.size(); ++i) {

@@ -343,7 +343,7 @@ TEST(DdpExecutedPlanTest, RecordsBucketReducesAndWaits) {
         ops::CrossEntropy(ddp.Forward(RankTokens(r)), RankTargets(r));
     autograd::RunBackward(loss);
     if (r == 0) {
-      executed = ddp.executed_plan();
+      executed = ddp.exec_log().Snapshot().instrs;
       num_buckets = ddp.num_buckets();
     }
   });

@@ -1,5 +1,6 @@
-// Tests for the per-instruction step profiler (src/obs/profiler.h): the
-// span<->instr join across sharding strategies and prefetch settings, exact
+// Tests for the per-instruction step profiler (src/obs/profiler.h): timed
+// log entries across sharding strategies and prefetch settings, profiling
+// with the trace collector off, entry times against the Work stamps, exact
 // critical-path / overlap / memory-attribution numbers on a hand-built
 // profile, the faulted-step incomplete path (cross-checked against the
 // flight recorder), the PROFILE_*.json artifact envelope, Chrome counter
@@ -25,6 +26,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "plan/plan.h"
+#include "tests/test_util.h"
 
 namespace fsdp {
 namespace {
@@ -36,10 +38,9 @@ bool Contains(const std::string& s, const std::string& sub) {
   return s.find(sub) != std::string::npos;
 }
 
-/// Artifacts land under obs::ArtifactPath; point it at the test temp dir.
-void UseTempArtifactDir() {
-  ::setenv("FSDP_ARTIFACT_DIR", ::testing::TempDir().c_str(), 1);
-}
+// Artifacts land under obs::ArtifactPath; tests point it at their own
+// temp dir.
+using fsdp::testing::UseTempArtifactDir;
 
 core::FsdpOptions BlockWrapOptions() {
   core::FsdpOptions opts;
@@ -48,14 +49,16 @@ core::FsdpOptions BlockWrapOptions() {
 }
 
 /// Runs `steps` forward+backward iterations of a small auto-wrapped
-/// transformer on `world` rank threads with the collector enabled, and
-/// returns rank 0's join inputs (executed plan + span snapshot + status).
+/// transformer on `world` rank threads (with the trace collector on unless
+/// `collector` is false), and returns rank 0's profiler inputs (execution
+/// log + status).
 obs::ProfileInputs RunProfiledFsdp(int world, int sharding_factor,
                                    core::FsdpOptions opts, int steps = 1,
-                                   int num_layers = 2) {
+                                   int num_layers = 2,
+                                   bool collector_on = true) {
   auto& collector = obs::TraceCollector::Get();
   collector.Clear();
-  collector.set_enabled(true);
+  collector.set_enabled(collector_on);
   comm::DeviceMesh mesh(world, sharding_factor);
   obs::ProfileInputs in;
   RunOnRanks(world, [&](int rank) {
@@ -75,7 +78,7 @@ obs::ProfileInputs RunProfiledFsdp(int world, int sharding_factor,
       autograd::RunBackward(loss);
     }
     if (rank == 0) {
-      in.instrs = state->executed_plan();
+      in.entries = state->exec_log().Entries();
       for (int u = 0; u < state->num_units(); ++u) {
         in.unit_names.push_back(state->unit_name(u));
       }
@@ -84,7 +87,6 @@ obs::ProfileInputs RunProfiledFsdp(int world, int sharding_factor,
   });
   collector.set_enabled(false);
   in.rank = 0;
-  in.events = collector.SnapshotRank(0);
   collector.Clear();
   return in;
 }
@@ -117,8 +119,7 @@ TEST(ProfilerJoinTest, EveryInstrMatchesAcrossStrategiesAndPrefetch) {
     opts.forward_prefetch = cfg.prefetch;
     const obs::ProfileInputs in =
         RunProfiledFsdp(world, cfg.factor, opts, /*steps=*/2);
-    ASSERT_FALSE(in.instrs.empty());
-    ASSERT_FALSE(in.events.empty());
+    ASSERT_FALSE(in.entries.empty());
 
     const auto steps = obs::BuildStepProfiles(in);
     ASSERT_EQ(steps.size(), 2u);
@@ -196,7 +197,7 @@ TEST(ProfilerJoinTest, DdpBucketLogJoins) {
     Tensor loss = ops::CrossEntropy(replica(tokens), targets);
     autograd::RunBackward(loss);
     if (rank == 0) {
-      in.instrs = replica.executed_plan();
+      in.entries = replica.exec_log().Entries();
       for (int b = 0; b < replica.num_buckets(); ++b) {
         in.unit_names.push_back("ddp_bucket" + std::to_string(b));
       }
@@ -205,7 +206,6 @@ TEST(ProfilerJoinTest, DdpBucketLogJoins) {
   });
   collector.set_enabled(false);
   in.rank = 0;
-  in.events = collector.SnapshotRank(0);
   collector.Clear();
 
   ASSERT_GE(in.unit_names.size(), 2u);
@@ -225,6 +225,98 @@ TEST(ProfilerJoinTest, DdpBucketLogJoins) {
   EXPECT_EQ(reduces, static_cast<int>(in.unit_names.size()));
 }
 
+// The log carries its own times: a step profiled with the trace collector
+// off is complete and has the same instruction labels as with it on.
+TEST(ProfilerLogTest, ProfilesWithTheCollectorOff) {
+  const core::FsdpOptions opts = BlockWrapOptions();
+  const auto on = obs::BuildStepProfiles(
+      RunProfiledFsdp(4, 4, opts, /*steps=*/2, /*num_layers=*/2, true));
+  const auto off = obs::BuildStepProfiles(
+      RunProfiledFsdp(4, 4, opts, /*steps=*/2, /*num_layers=*/2, false));
+  ASSERT_EQ(off.size(), 2u);
+  ASSERT_EQ(on.size(), off.size());
+  for (size_t s = 0; s < off.size(); ++s) {
+    SCOPED_TRACE("step " + std::to_string(s));
+    EXPECT_TRUE(off[s].complete) << off[s].incomplete_reason;
+    EXPECT_GT(off[s].step_us, 0);
+    ASSERT_EQ(on[s].instrs.size(), off[s].instrs.size());
+    for (size_t i = 0; i < off[s].instrs.size(); ++i) {
+      EXPECT_EQ(on[s].instrs[i].label, off[s].instrs[i].label);
+      EXPECT_TRUE(off[s].instrs[i].matched) << off[s].instrs[i].label;
+    }
+  }
+}
+
+// One hybrid-sharded step records exactly one entry per executed
+// instruction, and every collective entry carries its Work handle's stamps
+// — the ones the comm worker's own span reports — including the replica
+// AllReduce that runs inside FinishGradientReduce.
+TEST(ProfilerLogTest, OneTimedEntryPerExecutedInstruction) {
+  auto& collector = obs::TraceCollector::Get();
+  collector.Clear();
+  collector.set_enabled(true);
+  const int world = 4;
+  comm::DeviceMesh mesh(world, 2);
+  core::FsdpOptions opts = BlockWrapOptions();
+  opts.strategy = core::ShardingStrategy::kHybridShard;
+  std::vector<plan::ExecEntry> entries;
+  std::vector<std::string> names, expected;
+  RunOnRanks(world, [&](int rank) {
+    nn::InitCtx ctx(Device::kCpu, 7);
+    nn::TransformerConfig cfg;
+    cfg.vocab_size = 17;
+    cfg.max_seq = 4;
+    cfg.dim = 8;
+    cfg.num_heads = 2;
+    cfg.num_layers = 2;
+    auto model = std::make_shared<nn::TransformerModel>(cfg, ctx);
+    auto state = core::FullyShard(model, mesh, rank, opts);
+    Tensor tokens = ops::IndexTensor({1, 2, 3, 4}, {1, 4});
+    Tensor targets = ops::IndexTensor({2, 3, 4, 5}, {4});
+    autograd::RunBackward(ops::CrossEntropy((*model)(tokens), targets));
+    ASSERT_TRUE(state->status().ok());
+    if (rank == 0) {
+      entries = state->exec_log().Entries();
+      names = state->exec_log().Snapshot().unit_names;
+      expected = state->ExpectedStepPlan().Canonical();
+    }
+  });
+  collector.set_enabled(false);
+  const std::vector<obs::TraceEvent> spans = collector.SnapshotRank(0);
+  collector.Clear();
+
+  // One entry per instruction of the step, in the builder's order.
+  std::vector<plan::Instr> instrs;
+  for (const plan::ExecEntry& e : entries) instrs.push_back(e.instr);
+  EXPECT_EQ(plan::CanonicalSchedule(instrs, names), expected);
+
+  int replica_reduces = 0;
+  for (const plan::ExecEntry& e : entries) {
+    const std::string label = plan::RenderInstr(e.instr, names);
+    EXPECT_GT(e.t_end_us, 0) << label;
+    EXPECT_LE(e.t_begin_us, e.t_exec_us) << label;
+    EXPECT_LE(e.t_exec_us, e.t_end_us) << label;
+    if (e.instr.lane != plan::Lane::kComm) continue;
+    if (e.instr.op == plan::Op::kAllReduceReplicas) ++replica_reduces;
+    // The Work handle's issue and pickup stamps are the comm worker span's
+    // begin and exec times; completion is stamped right after the span.
+    int matches = 0;
+    for (const obs::TraceEvent& s : spans) {
+      if (s.lane != "comm" || s.kind != e.kind ||
+          s.unit != names[static_cast<size_t>(e.instr.unit)]) {
+        continue;
+      }
+      if (s.t_begin_us != e.t_begin_us) continue;
+      ++matches;
+      EXPECT_EQ(s.t_exec_us, e.t_exec_us) << label;
+      EXPECT_GE(e.t_end_us, s.t_end_us) << label;
+      EXPECT_EQ(s.bytes, e.bytes) << label;
+    }
+    EXPECT_EQ(matches, 1) << label;
+  }
+  EXPECT_EQ(replica_reduces, 3);  // one per unit: [root] + 2 blocks
+}
+
 // ---------------------------------------------------------------------------
 // (b) Exact numbers on a hand-built profile: queue/service split, exposed
 // communication, overlap efficiency, lane usage, critical path, memory.
@@ -232,40 +324,38 @@ TEST(ProfilerJoinTest, DdpBucketLogJoins) {
 obs::ProfileInputs SyntheticInputs() {
   obs::ProfileInputs in;
   in.unit_names = {"u0"};
-  auto instr = [](plan::Op op, int unit, plan::Phase phase) {
-    plan::Instr i;
-    i.op = op;
-    i.unit = unit;
-    i.phase = phase;
-    return i;
-  };
-  in.instrs = {
-      instr(plan::Op::kUnshard, 0, plan::Phase::kForward),
-      instr(plan::Op::kWaitUnshard, 0, plan::Phase::kForward),
-      instr(plan::Op::kCompute, 0, plan::Phase::kForward),
-      instr(plan::Op::kCompute, 0, plan::Phase::kBackward),
-      instr(plan::Op::kReduceGrad, 0, plan::Phase::kBackward),
-      instr(plan::Op::kWaitReduceGrad, -1, plan::Phase::kBackward),
-  };
   // Timeline (us): AG issued at 0, picked up at 5, completes at 20. The
   // rank thread waits 2..20, computes 20..50 (fwd) and 50..95 (bwd). The
   // ReduceScatter is issued at 80 (inside backward), picked up at 82,
   // completes at 100; the end-of-backward wait spans 100..110.
-  auto span = [](obs::EventKind kind, const char* unit, const char* lane,
-                 double b, double e, int64_t bytes, double exec = 0) {
-    obs::TraceEvent ev{0, kind, unit, lane, b, e, bytes};
-    ev.t_exec_us = exec;
-    return ev;
+  auto entry = [](plan::Op op, int unit, plan::Phase phase,
+                  obs::EventKind kind, double b, double e, double exec = 0,
+                  int64_t bytes = 0, int64_t resident = 0) {
+    plan::ExecEntry x;
+    x.instr.op = op;
+    x.instr.unit = unit;
+    x.instr.phase = phase;
+    x.kind = kind;
+    x.t_begin_us = b;
+    x.t_exec_us = exec;
+    x.t_end_us = e;
+    x.bytes = bytes;
+    x.resident_bytes = resident;
+    return x;
   };
-  in.events = {
-      span(obs::EventKind::kAllGather, "u0", "comm", 0, 20, 300, 5),
-      span(obs::EventKind::kAllGather, "u0", "runtime", 0, 1, 400),
-      span(obs::EventKind::kWait, "u0", "runtime", 2, 20, 0),
-      span(obs::EventKind::kForward, "u0", "compute", 20, 50, 0),
-      span(obs::EventKind::kBackward, "u0", "compute", 50, 95, 0),
-      span(obs::EventKind::kReduceScatter, "u0", "comm", 80, 100, 300, 82),
-      span(obs::EventKind::kReduceScatter, "u0", "runtime", 80, 81, 400),
-      span(obs::EventKind::kWait, "", "runtime", 100, 110, 0),
+  in.entries = {
+      entry(plan::Op::kUnshard, 0, plan::Phase::kForward,
+            obs::EventKind::kAllGather, 0, 20, 5, 300, 400),
+      entry(plan::Op::kWaitUnshard, 0, plan::Phase::kForward,
+            obs::EventKind::kWait, 2, 20),
+      entry(plan::Op::kCompute, 0, plan::Phase::kForward,
+            obs::EventKind::kForward, 20, 50),
+      entry(plan::Op::kCompute, 0, plan::Phase::kBackward,
+            obs::EventKind::kBackward, 50, 95),
+      entry(plan::Op::kReduceGrad, 0, plan::Phase::kBackward,
+            obs::EventKind::kReduceScatter, 80, 100, 82, 300, 400),
+      entry(plan::Op::kWaitReduceGrad, -1, plan::Phase::kBackward,
+            obs::EventKind::kWait, 100, 110),
   };
   return in;
 }
@@ -368,7 +458,7 @@ TEST(ProfilerAnalysisTest, MetricsAndCounterTracksFromSyntheticStep) {
 
 // ---------------------------------------------------------------------------
 // (c) Faulted steps: a hung AllGather yields an incomplete StepProfile whose
-// unmatched instruction names the victim, cross-checked against the flight
+// reason is the runtime's sticky error, cross-checked against the flight
 // recorder dump the watchdog wrote.
 
 TEST(ProfilerFaultTest, HungCollectiveYieldsIncompleteProfile) {
@@ -407,12 +497,11 @@ TEST(ProfilerFaultTest, HungCollectiveYieldsIncompleteProfile) {
   collector.set_enabled(false);
 
   obs::ProfileInputs in;
-  in.instrs = states[0]->executed_plan();
+  in.entries = states[0]->exec_log().Entries();
   for (int u = 0; u < states[0]->num_units(); ++u) {
     in.unit_names.push_back(states[0]->unit_name(u));
   }
   in.rank = 0;
-  in.events = collector.SnapshotRank(0);
   in.status = states[0]->status();
   collector.Clear();
 
@@ -435,7 +524,7 @@ TEST(ProfilerFaultTest, HungCollectiveYieldsIncompleteProfile) {
   EXPECT_GT(reg.GetCounter("prof.incomplete_steps").value(), 0);
 
   // Cross-check the flight recorder: the watchdog dumped it before the
-  // abort, and it records the collective the profile lost the span of.
+  // abort, and it records the collective that hung.
   const auto communicator = mesh.ShardGroup(0).communicator();
   EXPECT_TRUE(communicator->aborted());
   const std::string dump = communicator->flight_dump_path();
@@ -510,7 +599,7 @@ TEST(ProfilerArtifactTest, BenchEnvelopeStampedAndSchemaChecked) {
   rows.push_back(bench::JsonRow().Set("gpus", 8).Set("tflops", 123.4));
   bench::WriteBenchJson("profiler_envelope", rows, meta);
 
-  const std::string dir(::testing::TempDir());
+  const std::string& dir = testing::ProcessTempDir();
   auto parsed = obs::ParseJsonFile(dir + "/BENCH_profiler_envelope.json");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const obs::JsonValue& doc = parsed.ValueOrDie();

@@ -18,7 +18,7 @@ namespace fsdp {
 namespace {
 
 std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  return testing::ProcessTempDir() + "/" + name;
 }
 
 TEST(SerializeTest, RoundTripTensorsAndOptimState) {
@@ -130,7 +130,9 @@ TEST(SerializeTest, TrainSaveRestartResumeThroughDisk) {
     core::Checkpoint ckpt;
     ckpt.state_dict = state->FullStateDict();
     ckpt.optim_state = core::GatherFullOptimState(*state, adam);
-    if (r == 0) ASSERT_TRUE(core::SaveCheckpoint(path, ckpt).ok());
+    if (r == 0) {
+      ASSERT_TRUE(core::SaveCheckpoint(path, ckpt).ok());
+    }
   });
 
   // Phase 2: fresh everything, load from disk, 2 more steps.

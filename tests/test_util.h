@@ -1,8 +1,13 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +17,30 @@
 #include "tensor/tensor.h"
 
 namespace fsdp::testing {
+
+/// A temporary directory of this test process's own, created on first use
+/// and removed at exit. ctest runs tests as concurrent processes, so files
+/// with fixed names (flight-recorder dumps, checkpoints, artifacts) in the
+/// shared ::testing::TempDir() would clobber each other.
+inline const std::string& ProcessTempDir() {
+  struct Dir {
+    std::string path = ::testing::TempDir() + "/fsdp_test_" +
+                       std::to_string(::getpid());
+    Dir() { std::filesystem::create_directories(path); }
+    ~Dir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  };
+  static const Dir dir;
+  return dir.path;
+}
+
+/// Points obs::ArtifactPath (flight-recorder dumps, PROFILE_/BENCH_/RECOVERY_
+/// artifacts) at ProcessTempDir().
+inline void UseTempArtifactDir() {
+  ::setenv("FSDP_ARTIFACT_DIR", ProcessTempDir().c_str(), 1);
+}
 
 /// A "pipeline stage": a small MLP stack mapping dim -> dim. Stages chained
 /// sequentially on every rank emulate the 1F1B-free functional schedule

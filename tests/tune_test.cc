@@ -178,7 +178,9 @@ TEST(TuneSpaceTest, EnumerateMatchesRawSizeWithUniqueKeys) {
 TEST(TuneSpaceTest, DefaultSpaceShardingFactorsDivideWorld) {
   const SearchSpace space = SearchSpace::Default(sim::Topology{2, 8});
   for (int f : space.sharding_factor) {
-    if (f > 0) EXPECT_EQ(16 % f, 0) << f;
+    if (f > 0) {
+      EXPECT_EQ(16 % f, 0) << f;
+    }
   }
   // Full shard is always present; a single-host topology offers no hybrid
   // factor equal to its world.
