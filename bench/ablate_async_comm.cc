@@ -13,8 +13,11 @@
 // The measured speedup is the paper's Sec 3.3 overlap claim reproduced on the
 // real thread-per-rank substrate rather than the simulator. The binary
 // aborts if async fails to beat sync at the largest configuration, so it
-// doubles as the `async_comm_smoke` ctest entry. Rows land in
-// BENCH_async_comm.json.
+// doubles as the `async_comm_smoke` ctest entry. Each schedule's time is the
+// fastest of several repeats, so load from other processes does not flatten
+// the speedup. Rows land in BENCH_async_comm.json.
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -34,12 +37,18 @@ void Spin(double us) {
   }
 }
 
+/// Each schedule is timed this many times per config and reports its
+/// fastest run: co-tenant load only ever adds time, so the minimum is the
+/// least-disturbed measurement of the schedule itself.
+constexpr int kRepeats = 5;
+
 struct PipelineResult {
   double sync_ms = 0;
   double async_ms = 0;
 };
 
-/// One rank's U-unit gather->compute pipeline, both schedules.
+/// One rank's U-unit gather->compute pipeline, both schedules, each the
+/// fastest of kRepeats runs.
 PipelineResult RunPipeline(int world, int units, int64_t numel_per_rank,
                            double latency_us, double compute_us) {
   auto comm = std::make_shared<comm::Communicator>(world);
@@ -53,30 +62,34 @@ PipelineResult RunPipeline(int world, int units, int64_t numel_per_rank,
       full.push_back(Tensor::Empty({world * numel_per_rank}));
     }
 
-    // Synchronous schedule: each unit blocks on its own gather.
-    double t0 = MonotonicMicros();
-    for (int u = 0; u < units; ++u) {
-      pg.AllGatherBase(full[u], shards[u]);
-      Spin(compute_us);
-    }
-    const double sync_ms = (MonotonicMicros() - t0) / 1000.0;
-
-    // Async schedule: unit u+1's gather is in flight while unit u computes
-    // (the FSDP prefetch pattern; wait happens at first use).
-    comm::CollectiveOptions async_opts;
-    async_opts.async = true;
-    std::vector<comm::Work> works(static_cast<size_t>(units));
-    t0 = MonotonicMicros();
-    works[0] = pg.AllGatherBase(full[0], shards[0], async_opts);
-    for (int u = 0; u < units; ++u) {
-      works[static_cast<size_t>(u)].Wait();
-      if (u + 1 < units) {
-        works[static_cast<size_t>(u + 1)] =
-            pg.AllGatherBase(full[u + 1], shards[u + 1], async_opts);
+    double sync_ms = std::numeric_limits<double>::infinity();
+    double async_ms = sync_ms;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      // Synchronous schedule: each unit blocks on its own gather.
+      double t0 = MonotonicMicros();
+      for (int u = 0; u < units; ++u) {
+        pg.AllGatherBase(full[u], shards[u]);
+        Spin(compute_us);
       }
-      Spin(compute_us);
+      sync_ms = std::min(sync_ms, (MonotonicMicros() - t0) / 1000.0);
+
+      // Async schedule: unit u+1's gather is in flight while unit u
+      // computes (the FSDP prefetch pattern; wait happens at first use).
+      comm::CollectiveOptions async_opts;
+      async_opts.async = true;
+      std::vector<comm::Work> works(static_cast<size_t>(units));
+      t0 = MonotonicMicros();
+      works[0] = pg.AllGatherBase(full[0], shards[0], async_opts);
+      for (int u = 0; u < units; ++u) {
+        works[static_cast<size_t>(u)].Wait();
+        if (u + 1 < units) {
+          works[static_cast<size_t>(u + 1)] =
+              pg.AllGatherBase(full[u + 1], shards[u + 1], async_opts);
+        }
+        Spin(compute_us);
+      }
+      async_ms = std::min(async_ms, (MonotonicMicros() - t0) / 1000.0);
     }
-    const double async_ms = (MonotonicMicros() - t0) / 1000.0;
 
     if (r == 0) {
       result.sync_ms = sync_ms;

@@ -169,20 +169,26 @@ int64_t Work::bytes() const {
 // ---------------------------------------------------------------------------
 // Communicator: comm-worker runtime
 
-Communicator::Communicator(int size)
+Communicator::Communicator(int size, std::shared_ptr<AbortDomain> domain)
     : size_(size), barrier_(size), src_slots_(size, nullptr),
       dst_slots_(size, nullptr), count_slots_(size, 0),
-      rank_stats_(size), queues_(size), flight_(size), progress_(size),
-      sig_slots_(size) {
+      rank_stats_(size), domain_(std::move(domain)), queues_(size),
+      flight_(size), progress_(size), sig_slots_(size) {
   FSDP_CHECK_MSG(size > 0, "communicator size must be positive");
+  // Joined last, once every member is initialized: from here on a sibling's
+  // abort can reach this communicator.
+  if (domain_) {
+    std::lock_guard<std::mutex> lock(domain_->mu);
+    domain_->members.push_back(this);
+  }
 }
 
 Communicator::~Communicator() {
   // Leave the failure domain first: afterwards no other thread can reach
   // this communicator through an abort.
-  if (const auto domain = abort_domain()) {
-    std::lock_guard<std::mutex> lock(domain->mu);
-    std::erase(domain->members, this);
+  if (domain_) {
+    std::lock_guard<std::mutex> lock(domain_->mu);
+    std::erase(domain_->members, this);
   }
   // The watchdog goes next: it must not fire (dump + abort) while the rest
   // of the teardown races it.
@@ -571,30 +577,15 @@ Communicator::Mailbox& Communicator::MailboxFor(int src, int dst) {
   return *slot;
 }
 
-void Communicator::JoinAbortDomain(std::shared_ptr<AbortDomain> domain) {
-  {
-    std::lock_guard<std::mutex> lock(domain->mu);
-    domain->members.push_back(this);
-  }
-  std::lock_guard<std::mutex> lock(domain_mu_);
-  domain_ = std::move(domain);
-}
-
-std::shared_ptr<AbortDomain> Communicator::abort_domain() {
-  std::lock_guard<std::mutex> lock(domain_mu_);
-  return domain_;
-}
-
 void Communicator::PropagateAbort() {
-  const auto domain = abort_domain();
-  if (!domain) return;
+  if (!domain_) return;
   const Status st = abort_status();
   const Status forwarded = Status::Internal(
       "aborted by linked communicator '" + name_ + "': " +
       (st.ok() ? std::string("communicator aborted") : st.message()));
   // One clique: every member is aborted here, none propagates further.
-  std::lock_guard<std::mutex> lock(domain->mu);
-  for (Communicator* c : domain->members) {
+  std::lock_guard<std::mutex> lock(domain_->mu);
+  for (Communicator* c : domain_->members) {
     if (c != this && c->ClaimAbort(forwarded, nullptr)) c->WakeAllAfterAbort();
   }
 }
@@ -1320,24 +1311,28 @@ Work ProcessGroup::Broadcast(Tensor buf, int root,
 // ---------------------------------------------------------------------------
 // DeviceMesh
 
-DeviceMesh::DeviceMesh(int world_size, int sharding_factor)
-    : world_size_(world_size), sharding_factor_(sharding_factor) {
+namespace {
+
+/// The FSDP mesh shape: F consecutive ranks shard, W/F ranks replicate.
+std::vector<MeshAxis> FsdpAxes(int world_size, int sharding_factor) {
+  return {{"replicate", world_size / sharding_factor},
+          {"shard", sharding_factor}};
+}
+
+/// Why ShardGroup/ReplicateGroup/sharding_factor reject a mesh.
+constexpr char kNotAnFsdpMesh[] =
+    "; FSDP needs the 'replicate' and 'shard' axes of DeviceMesh(W, F): use "
+    "FsdpSubmesh to build them over one axis of a composed mesh";
+
+}  // namespace
+
+DeviceMesh::DeviceMesh(int world_size, int sharding_factor) {
   FSDP_CHECK_MSG(sharding_factor >= 1 && sharding_factor <= world_size,
                  "sharding factor " << sharding_factor << " out of [1, "
                                     << world_size << "]");
   FSDP_CHECK_MSG(world_size % sharding_factor == 0,
                  "sharding factor must divide world size");
-  world_ = std::make_shared<Communicator>(world_size);
-  world_->SetName("world");
-  const int num_shard = world_size / sharding_factor;
-  for (int g = 0; g < num_shard; ++g) {
-    shard_groups_.push_back(std::make_shared<Communicator>(sharding_factor));
-    shard_groups_.back()->SetName("shard" + std::to_string(g));
-  }
-  for (int g = 0; g < sharding_factor; ++g) {
-    replicate_groups_.push_back(std::make_shared<Communicator>(num_shard));
-    replicate_groups_.back()->SetName("replicate" + std::to_string(g));
-  }
+  Build(world_size, FsdpAxes(world_size, sharding_factor), nullptr, "");
 }
 
 Status DeviceMesh::Create(int world_size, std::vector<MeshAxis> axes,
@@ -1372,25 +1367,42 @@ Status DeviceMesh::Create(int world_size, std::vector<MeshAxis> axes,
         ", which does not divide up world size " + std::to_string(world_size));
   }
   auto mesh = std::shared_ptr<DeviceMesh>(new DeviceMesh());
-  mesh->world_size_ = world_size;
-  mesh->sharding_factor_ = 1;
-  mesh->axes_ = std::move(axes);
-  mesh->world_ = std::make_shared<Communicator>(world_size);
-  mesh->world_->SetName("world");
-  std::vector<std::shared_ptr<Communicator>> fresh = {mesh->world_};
-  mesh->axis_groups_.resize(mesh->axes_.size());
-  for (size_t a = 0; a < mesh->axes_.size(); ++a) {
-    const int num_groups = world_size / mesh->axes_[a].size;
-    for (int g = 0; g < num_groups; ++g) {
-      auto comm = std::make_shared<Communicator>(mesh->axes_[a].size);
-      comm->SetName(mesh->axes_[a].name + std::to_string(g));
-      mesh->axis_groups_[a].push_back(comm);
-      fresh.push_back(std::move(comm));
-    }
-  }
-  mesh->LinkIntoWeb(fresh);
+  mesh->Build(world_size, std::move(axes), nullptr, "");
   *out = std::move(mesh);
   return Status::OK();
+}
+
+void DeviceMesh::Build(int world_size, std::vector<MeshAxis> axes,
+                       std::shared_ptr<Communicator> world,
+                       const std::string& prefix) {
+  world_size_ = world_size;
+  axes_ = std::move(axes);
+  // Born in the mesh's domain with the mesh's settings: no communicator of
+  // a mesh ever runs a collective outside either.
+  auto make = [&](int size, std::string name) {
+    auto comm = std::make_shared<Communicator>(size, domain_);
+    comm->SetName(std::move(name));
+    comm->SetInjectedLatency(settings_.latency_base_us,
+                             settings_.latency_us_per_mib);
+    comm->SetDefaultTimeout(settings_.timeout_ms);
+    comm->SetDesyncDetection(settings_.desync);
+    comm->SetTrainStep(settings_.train_step);
+    all_comms_.push_back(comm);
+    return comm;
+  };
+  if (world) {
+    all_comms_.push_back(world);
+    world_ = std::move(world);
+  } else {
+    world_ = make(world_size, "world");
+  }
+  axis_groups_.resize(axes_.size());
+  for (size_t a = 0; a < axes_.size(); ++a) {
+    for (int g = 0; g < world_size / axes_[a].size; ++g) {
+      axis_groups_[a].push_back(
+          make(axes_[a].size, prefix + axes_[a].name + std::to_string(g)));
+    }
+  }
 }
 
 Status DeviceMesh::AxisIndex(const std::string& name, int* out) const {
@@ -1399,10 +1411,6 @@ Status DeviceMesh::AxisIndex(const std::string& name, int* out) const {
       *out = static_cast<int>(a);
       return Status::OK();
     }
-  }
-  if (axes_.empty()) {
-    return Status::Invalid(
-        "mesh has no named axes (built with the legacy FSDP constructor)");
   }
   std::string known;
   for (const MeshAxis& ax : axes_) {
@@ -1480,7 +1488,7 @@ Status DeviceMesh::FsdpSubmesh(const std::string& axis, int rank,
                            std::to_string(asize));
   }
   const int group = GroupIndex(a, rank);
-  std::lock_guard<std::mutex> lock(submesh_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   const std::array<int, 3> key = {a, group, sharding_factor};
   for (auto& entry : submeshes_) {
     if (entry.first == key) {
@@ -1489,127 +1497,73 @@ Status DeviceMesh::FsdpSubmesh(const std::string& axis, int rank,
     }
   }
   auto sub = std::shared_ptr<DeviceMesh>(new DeviceMesh());
-  sub->world_size_ = asize;
-  sub->sharding_factor_ = sharding_factor;
+  sub->domain_ = domain_;
+  sub->settings_ = settings_;
   // The submesh's world IS the axis slice: FullyShard's collectives run on
   // the same comm workers (and the same abort domain) as Slice(axis).
-  sub->world_ = axis_groups_[a][group];
-  const std::string prefix = axes_[a].name + std::to_string(group) + ".";
-  std::vector<std::shared_ptr<Communicator>> fresh;
-  const int num_shard = asize / sharding_factor;
-  for (int g = 0; g < num_shard; ++g) {
-    auto comm = std::make_shared<Communicator>(sharding_factor);
-    comm->SetName(prefix + "shard" + std::to_string(g));
-    sub->shard_groups_.push_back(comm);
-    fresh.push_back(std::move(comm));
+  sub->Build(asize, FsdpAxes(asize, sharding_factor), axis_groups_[a][group],
+             axes_[a].name + std::to_string(group) + ".");
+  for (const auto& groups : sub->axis_groups_) {
+    all_comms_.insert(all_comms_.end(), groups.begin(), groups.end());
   }
-  for (int g = 0; g < sharding_factor; ++g) {
-    auto comm = std::make_shared<Communicator>(num_shard);
-    comm->SetName(prefix + "replicate" + std::to_string(g));
-    sub->replicate_groups_.push_back(comm);
-    fresh.push_back(std::move(comm));
-  }
-  LinkIntoWeb(fresh);
   submeshes_.emplace_back(key, sub);
   *out = std::move(sub);
   return Status::OK();
-}
-
-void DeviceMesh::LinkIntoWeb(
-    const std::vector<std::shared_ptr<Communicator>>& fresh) {
-  if (!domain_) domain_ = std::make_shared<AbortDomain>();
-  for (const auto& f : fresh) f->JoinAbortDomain(domain_);
-  all_comms_.insert(all_comms_.end(), fresh.begin(), fresh.end());
 }
 
 ProcessGroup DeviceMesh::WorldGroup(int rank) {
   return ProcessGroup(world_, rank);
 }
 
+int DeviceMesh::FsdpAxis(const std::string& name) const {
+  int a = -1;
+  const Status st = AxisIndex(name, &a);
+  FSDP_CHECK_MSG(st.ok(), st.message() << kNotAnFsdpMesh);
+  return a;
+}
+
+ProcessGroup DeviceMesh::FsdpSlice(const std::string& axis, int rank) {
+  FsdpAxis(axis);  // a mesh without `axis` aborts with the FsdpSubmesh hint
+  ProcessGroup pg;
+  Slice(axis, rank, &pg).Check();
+  return pg;
+}
+
+int DeviceMesh::sharding_factor() const {
+  return axes_[FsdpAxis("shard")].size;
+}
+
 ProcessGroup DeviceMesh::ShardGroup(int rank) {
-  const int group = rank / sharding_factor_;
-  return ProcessGroup(shard_groups_[group], rank % sharding_factor_);
+  return FsdpSlice("shard", rank);
 }
 
 ProcessGroup DeviceMesh::ReplicateGroup(int rank) {
-  const int local = rank % sharding_factor_;
-  return ProcessGroup(replicate_groups_[local], rank / sharding_factor_);
+  return FsdpSlice("replicate", rank);
 }
 
 void DeviceMesh::SetInjectedLatency(double base_us, double us_per_mib) {
-  world_->SetInjectedLatency(base_us, us_per_mib);
-  for (auto& g : shard_groups_) g->SetInjectedLatency(base_us, us_per_mib);
-  for (auto& g : replicate_groups_) {
-    g->SetInjectedLatency(base_us, us_per_mib);
-  }
-  std::lock_guard<std::mutex> lock(submesh_mu_);
-  for (auto& g : all_comms_) g->SetInjectedLatency(base_us, us_per_mib);
-  for (auto& sub : submeshes_) {
-    for (auto& g : sub.second->shard_groups_) {
-      g->SetInjectedLatency(base_us, us_per_mib);
-    }
-    for (auto& g : sub.second->replicate_groups_) {
-      g->SetInjectedLatency(base_us, us_per_mib);
-    }
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  settings_.latency_base_us = base_us;
+  settings_.latency_us_per_mib = us_per_mib;
+  for (auto& c : all_comms_) c->SetInjectedLatency(base_us, us_per_mib);
 }
 
 void DeviceMesh::SetDefaultTimeout(double timeout_ms) {
-  world_->SetDefaultTimeout(timeout_ms);
-  for (auto& g : shard_groups_) g->SetDefaultTimeout(timeout_ms);
-  for (auto& g : replicate_groups_) g->SetDefaultTimeout(timeout_ms);
-  std::lock_guard<std::mutex> lock(submesh_mu_);
-  for (auto& g : all_comms_) g->SetDefaultTimeout(timeout_ms);
-  for (auto& sub : submeshes_) {
-    for (auto& g : sub.second->shard_groups_) g->SetDefaultTimeout(timeout_ms);
-    for (auto& g : sub.second->replicate_groups_) {
-      g->SetDefaultTimeout(timeout_ms);
-    }
-  }
-}
-
-void DeviceMesh::SetTrainStep(int64_t step) {
-  world_->SetTrainStep(step);
-  for (auto& g : shard_groups_) g->SetTrainStep(step);
-  for (auto& g : replicate_groups_) g->SetTrainStep(step);
-  std::lock_guard<std::mutex> lock(submesh_mu_);
-  for (auto& g : all_comms_) g->SetTrainStep(step);
-  for (auto& sub : submeshes_) {
-    for (auto& g : sub.second->shard_groups_) g->SetTrainStep(step);
-    for (auto& g : sub.second->replicate_groups_) g->SetTrainStep(step);
-  }
-}
-
-void DeviceMesh::LinkFailureDomain() {
-  if (!axes_.empty()) return;  // N-d meshes are already one abort web
-  std::lock_guard<std::mutex> lock(submesh_mu_);
-  if (!all_comms_.empty()) return;  // already linked
-  std::vector<std::shared_ptr<Communicator>> fresh;
-  fresh.push_back(world_);
-  fresh.insert(fresh.end(), shard_groups_.begin(), shard_groups_.end());
-  fresh.insert(fresh.end(), replicate_groups_.begin(),
-               replicate_groups_.end());
-  // Dedup: with F == W the single shard group is a distinct communicator,
-  // but defensive against future aliasing.
-  std::vector<std::shared_ptr<Communicator>> unique;
-  for (auto& c : fresh) {
-    bool seen = false;
-    for (auto& u : unique) seen = seen || u == c;
-    if (!seen) unique.push_back(c);
-  }
-  LinkIntoWeb(unique);
+  std::lock_guard<std::mutex> lock(mu_);
+  settings_.timeout_ms = timeout_ms;
+  for (auto& c : all_comms_) c->SetDefaultTimeout(timeout_ms);
 }
 
 void DeviceMesh::SetDesyncDetection(bool on) {
-  world_->SetDesyncDetection(on);
-  for (auto& g : shard_groups_) g->SetDesyncDetection(on);
-  for (auto& g : replicate_groups_) g->SetDesyncDetection(on);
-  std::lock_guard<std::mutex> lock(submesh_mu_);
-  for (auto& g : all_comms_) g->SetDesyncDetection(on);
-  for (auto& sub : submeshes_) {
-    for (auto& g : sub.second->shard_groups_) g->SetDesyncDetection(on);
-    for (auto& g : sub.second->replicate_groups_) g->SetDesyncDetection(on);
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  settings_.desync = on;
+  for (auto& c : all_comms_) c->SetDesyncDetection(on);
+}
+
+void DeviceMesh::SetTrainStep(int64_t step) {
+  std::lock_guard<std::mutex> lock(mu_);
+  settings_.train_step = step;
+  for (auto& c : all_comms_) c->SetTrainStep(step);
 }
 
 }  // namespace fsdp::comm

@@ -215,7 +215,15 @@ struct AbortDomain {
 /// so fire-and-forget async work still completes).
 class Communicator {
  public:
-  explicit Communicator(int size);
+  /// A communicator of `size` ranks. With a `domain` it is a member of that
+  /// failure domain for its whole life: when any member aborts (watchdog,
+  /// desync, explicit Abort), every other member is aborted after the local
+  /// waiters are woken. DeviceMesh creates every communicator of a mesh in
+  /// the mesh's one domain, so a timeout on one group (a TP AllReduce on
+  /// `tp0`, a ReduceScatter on `shard1`) tears down the siblings instead of
+  /// leaving them deadlocked mid-step.
+  explicit Communicator(int size,
+                        std::shared_ptr<AbortDomain> domain = nullptr);
   ~Communicator();
 
   Communicator(const Communicator&) = delete;
@@ -292,13 +300,6 @@ class Communicator {
   /// automatically before aborting.
   std::string flight_dump_path() const;
 
-  /// Joins this communicator to `domain`: when any member aborts
-  /// (watchdog, desync, explicit Abort), every other member is aborted after
-  /// the local waiters are woken. DeviceMesh puts every communicator of a
-  /// composed mesh in one domain, so a timeout on one axis (a TP AllReduce
-  /// on `tp0`) tears down the siblings (`dp*`, `pp*`) instead of leaving
-  /// them deadlocked mid-step.
-  void JoinAbortDomain(std::shared_ptr<AbortDomain> domain);
   /// Flight records as "flight"-lane trace events for the Chrome exporter.
   std::vector<obs::TraceEvent> FlightTraceEvents() const {
     return flight_.TraceEvents();
@@ -395,7 +396,6 @@ class Communicator {
   /// Aborts the rest of this communicator's failure domain with its abort
   /// Status (outside all local locks).
   void PropagateAbort();
-  std::shared_ptr<AbortDomain> abort_domain();
 
   /// Issue-side bookkeeping (calling rank thread): assigns the rank's next
   /// seq, records the issue in progress + flight recorder.
@@ -436,8 +436,7 @@ class Communicator {
   std::mutex mailbox_mu_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;  // [src * size_ + dst]
 
-  std::mutex domain_mu_;
-  std::shared_ptr<AbortDomain> domain_;  // guarded by domain_mu_
+  const std::shared_ptr<AbortDomain> domain_;  // fixed at construction
 
   std::vector<WorkerQueue> queues_;
   std::vector<std::thread> workers_;
@@ -617,30 +616,33 @@ struct MeshAxis {
   int size = 0;
 };
 
-/// Pre-built communicators for a world and its parallelism subgroups.
-/// Construct once (before spawning rank threads), then hand each rank its
-/// groups. Two construction paths:
+/// Pre-built communicators for a world and its parallelism subgroups: a
+/// named-axis mesh. Construct once (before spawning rank threads), then hand
+/// each rank its groups.
 ///
-///   * the legacy FSDP constructor `DeviceMesh(W, F)` (F divides W) builds
-///     the hybrid-sharding geometry of paper Sec 3.2.2 — shard group of
-///     rank r: the F consecutive ranks r belongs to (groups S_1..S_{W/F});
-///     replicate group: the W/F ranks with equal index within their shard
-///     group (groups R_1..R_F);
+/// `Create(W, {{"pp",2},{"dp",2},{"tp",2}})` lays ranks out row-major with
+/// the LAST axis fastest-varying (the PyTorch DeviceMesh convention — put
+/// "tp" last so TP groups are the consecutive intra-host ranks) and builds
+/// one communicator per group of every axis. `Slice(axis, rank)` returns the
+/// group containing `rank`.
 ///
-///   * the N-dimensional factory `Create(W, {{"dp",4},{"tp",2}})` builds a
-///     named-axis mesh for composed FSDP×TP×PP parallelism. Ranks are laid
-///     out row-major with the LAST axis fastest-varying (the PyTorch
-///     DeviceMesh convention — put "tp" last so TP groups are the
-///     consecutive intra-host ranks). `Slice(axis, rank)` returns the
-///     per-axis communicator containing `rank`; `FsdpSubmesh` wraps one
-///     axis group as an FSDP-shaped mesh for FullyShard.
+/// `DeviceMesh(W, F)` is shorthand for the 2-axis mesh
+/// `Create(W, {{"replicate", W/F}, {"shard", F}})` — the hybrid-sharding
+/// geometry of paper Sec 3.2.2: the shard group of rank r is the F
+/// consecutive ranks r belongs to (S_1..S_{W/F}), its replicate group the
+/// W/F ranks with r's index within their shard group (R_1..R_F).
+/// `ShardGroup(r)` / `ReplicateGroup(r)` are `Slice("shard"/"replicate", r)`.
+/// `FsdpSubmesh` builds the same two axes over one group of a larger mesh,
+/// for core::FullyShard in a composed run.
 ///
-/// Every communicator of an N-d mesh (world, axis slices, submesh
-/// subgroups) is cross-linked into one failure domain: an abort on any of
-/// them — watchdog timeout, desync, explicit Abort — propagates to all
-/// siblings, so a composed step never deadlocks half-torn-down.
+/// Every mesh is one failure domain: all its communicators (world, axis
+/// groups, submesh groups) are created in one AbortDomain, so an abort on
+/// any of them — watchdog timeout, desync, explicit Abort — propagates to
+/// all siblings and a step never deadlocks half-torn-down. A drill that must
+/// abort one group in isolation uses a standalone Communicator.
 class DeviceMesh {
  public:
+  /// The FSDP mesh: `{{"replicate", W/F}, {"shard", F}}`. F must divide W.
   DeviceMesh(int world_size, int sharding_factor);
 
   /// N-d named-axis mesh. Returns InvalidArgument (never aborts) when an
@@ -650,84 +652,93 @@ class DeviceMesh {
                        std::shared_ptr<DeviceMesh>* out);
 
   int world_size() const { return world_size_; }
-  int sharding_factor() const { return sharding_factor_; }
-  int num_shard_groups() const { return world_size_ / sharding_factor_; }
-  /// Named axes (empty for legacy FSDP meshes).
+  /// The "shard" axis size F, and W / F. Both abort on a mesh without one.
+  int sharding_factor() const;
+  int num_shard_groups() const { return world_size_ / sharding_factor(); }
   const std::vector<MeshAxis>& axes() const { return axes_; }
 
   ProcessGroup WorldGroup(int rank);
+  /// Slice("shard", rank) / Slice("replicate", rank). Abort, naming the
+  /// mesh's axes, on a mesh without that axis: hand FullyShard a
+  /// `DeviceMesh(W, F)` or an `FsdpSubmesh` instead.
   ProcessGroup ShardGroup(int rank);      // size F
   ProcessGroup ReplicateGroup(int rank);  // size W/F
 
   /// The `axis` communicator containing global rank `rank` (the group of
   /// ranks sharing all OTHER coordinates), as a ProcessGroup whose rank is
   /// `rank`'s coordinate along `axis`. Errors on unknown axes or
-  /// out-of-range ranks; legacy meshes have no named axes.
+  /// out-of-range ranks.
   Status Slice(const std::string& axis, int rank, ProcessGroup* out);
   /// Global rank's coordinate along `axis`.
   Status Coordinate(const std::string& axis, int rank, int* out) const;
   /// Size of `axis` (InvalidArgument on unknown names).
   Status AxisSize(const std::string& axis, int* out) const;
 
-  /// An FSDP-shaped (world = axis size, sharding factor F) submesh over the
-  /// `axis` group containing `rank`, for handing to core::FullyShard in a
-  /// composed run. The submesh's world communicator IS the axis slice —
-  /// same threads, same abort domain — and its shard/replicate subgroups
-  /// are created on first use and cached (one submesh per axis group × F).
-  /// Callers address the submesh with the rank's coordinate along `axis`.
+  /// The FSDP mesh `{{"replicate", S/F}, {"shard", F}}` over the `axis`
+  /// group (size S) containing `rank`, for handing to core::FullyShard in a
+  /// composed run. Its world communicator IS the axis slice — same threads,
+  /// same abort domain — and its shard/replicate groups are created in this
+  /// mesh's domain with this mesh's current settings, on first use, and
+  /// cached (one submesh per axis group × F). Callers address the submesh
+  /// with the rank's coordinate along `axis`.
   Status FsdpSubmesh(const std::string& axis, int rank, int sharding_factor,
                      std::shared_ptr<DeviceMesh>* out);
 
-  /// Applies Communicator::SetInjectedLatency to the world and every
-  /// subgroup communicator of this mesh (axis slices and cached submeshes
-  /// included).
-  void SetInjectedLatency(double base_us, double us_per_mib = 0);
+  // Mesh-wide settings: applied to every communicator of this mesh (cached
+  // submeshes included) and to every one it creates later.
 
-  /// Arms the watchdog on the world and every subgroup communicator.
+  /// Communicator::SetInjectedLatency.
+  void SetInjectedLatency(double base_us, double us_per_mib = 0);
+  /// Arms the watchdog (Communicator::SetDefaultTimeout).
   void SetDefaultTimeout(double timeout_ms);
-  /// Enables the desync rendezvous on the world and every subgroup
-  /// communicator.
+  /// Enables the desync rendezvous (Communicator::SetDesyncDetection).
   void SetDesyncDetection(bool on);
-  /// Publishes the current training step to every communicator's fault
-  /// injector (step-keyed FaultSpecs).
+  /// Publishes the current training step to every fault injector
+  /// (step-keyed FaultSpecs).
   void SetTrainStep(int64_t step);
 
-  /// Cross-links the world + shard + replicate communicators of a LEGACY
-  /// `DeviceMesh(W, F)` mesh into one abort/watchdog failure domain, the way
-  /// the N-d `Create` factory always does. Opt-in (idempotent) because some
-  /// fault drills deliberately abort one subgroup in isolation; the elastic
-  /// runtime links its meshes so any rank loss tears down the whole world
-  /// instead of leaving sibling groups deadlocked. No-op on N-d meshes.
-  void LinkFailureDomain();
-
  private:
+  /// The mesh-wide settings as last set; new communicators start with them.
+  struct Settings {
+    double latency_base_us = 0;
+    double latency_us_per_mib = 0;
+    double timeout_ms = 0;
+    bool desync = false;
+    int64_t train_step = -1;
+  };
+
   DeviceMesh() = default;
 
-  /// Index of `name` in axes_, or an error for unknown/legacy.
+  /// The one construction path. `world` is a fresh communicator, or (for
+  /// FsdpSubmesh) an existing axis slice; every axis group is created in
+  /// domain_ with settings_ and named `prefix + axis + group`.
+  void Build(int world_size, std::vector<MeshAxis> axes,
+             std::shared_ptr<Communicator> world, const std::string& prefix);
+  /// Index of `name` in axes_, or an error naming the known axes.
   Status AxisIndex(const std::string& name, int* out) const;
   /// The group along axis `a` that global rank `rank` belongs to.
   int GroupIndex(int a, int rank) const;
   /// Product of axis sizes after `a` (the stride of axis a, row-major).
   int AxisStride(int a) const;
-  /// Joins `fresh` communicators to this mesh's failure domain and appends
-  /// them to all_comms_.
-  void LinkIntoWeb(const std::vector<std::shared_ptr<Communicator>>& fresh);
+  /// AxisIndex for the FSDP axes: aborts with the FsdpSubmesh hint when the
+  /// mesh has no axis `name`.
+  int FsdpAxis(const std::string& name) const;
+  /// Slice(axis, rank) that aborts on failure (ShardGroup/ReplicateGroup).
+  ProcessGroup FsdpSlice(const std::string& axis, int rank);
 
   int world_size_ = 0;
-  int sharding_factor_ = 1;
-  std::shared_ptr<Communicator> world_;
-  std::vector<std::shared_ptr<Communicator>> shard_groups_;
-  std::vector<std::shared_ptr<Communicator>> replicate_groups_;
-
-  // N-d meshes only.
   std::vector<MeshAxis> axes_;
+  std::shared_ptr<Communicator> world_;
   std::vector<std::vector<std::shared_ptr<Communicator>>> axis_groups_;
-  std::vector<std::shared_ptr<Communicator>> all_comms_;  // the abort web
-  std::shared_ptr<AbortDomain> domain_;                   // its domain
-  std::mutex submesh_mu_;
+  std::shared_ptr<AbortDomain> domain_ = std::make_shared<AbortDomain>();
+
+  std::mutex mu_;
+  Settings settings_;  // guarded by mu_
+  /// world_, axis groups and every cached submesh's groups, each once.
+  std::vector<std::shared_ptr<Communicator>> all_comms_;  // guarded by mu_
   /// (axis, group, F) -> cached FSDP submesh.
   std::vector<std::pair<std::array<int, 3>, std::shared_ptr<DeviceMesh>>>
-      submeshes_;
+      submeshes_;  // guarded by mu_
 };
 
 }  // namespace fsdp::comm

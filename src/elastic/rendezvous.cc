@@ -40,12 +40,7 @@ void RendezvousStore::Finalize(Round& round) {
   }
   round.view.generation = ++completed_generation_;
   round.view.world_size = world;
-  if (opts_.mesh_factory) {
-    round.view.mesh = opts_.mesh_factory(world);
-  } else {
-    round.view.mesh = std::make_shared<comm::DeviceMesh>(world, world);
-    round.view.mesh->LinkFailureDomain();
-  }
+  round.view.mesh = std::make_shared<comm::DeviceMesh>(world, world);
   if (opts_.watchdog_ms > 0) round.view.mesh->SetDefaultTimeout(opts_.watchdog_ms);
   if (opts_.desync_detection) round.view.mesh->SetDesyncDetection(true);
   if (opts_.post_build) opts_.post_build(*round.view.mesh, round.view.generation);

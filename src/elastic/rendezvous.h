@@ -17,8 +17,10 @@
 //   * finalization assigns new ranks — survivors keep their relative order
 //     (sorted by old rank), fresh joiners (old_rank = -1) take the highest
 //     ranks in arrival order — bumps the generation number, and builds ONE
-//     fresh DeviceMesh (fresh communicators: the old ones are poisoned and
-//     unrecoverable by design) shared by all members of the round.
+//     fresh full-shard DeviceMesh(W, W) (fresh communicators: the old ones
+//     are poisoned and unrecoverable by design) shared by all members of
+//     the round. Like every mesh it is one abort domain, as recovery
+//     requires: any rank loss tears down the whole world.
 //
 // ElasticAgent is the per-rank wrapper that stamps elastic.* metrics and
 // recovery trace spans around Join.
@@ -44,7 +46,7 @@ struct WorldView {
   int rank = -1;  // the caller's rank in this world
   /// new rank -> previous-world rank (-1 for fresh joiners).
   std::vector<int> members;
-  std::shared_ptr<comm::DeviceMesh> mesh;
+  std::shared_ptr<comm::DeviceMesh> mesh;  // DeviceMesh(world_size, world_size)
 };
 
 class RendezvousStore {
@@ -58,12 +60,6 @@ class RendezvousStore {
     /// desync detection.
     double watchdog_ms = 0;
     bool desync_detection = false;
-    /// Builds the round's mesh from the finalized world size. Defaults to a
-    /// full-shard DeviceMesh(W, W) with LinkFailureDomain() — one abort
-    /// domain, as elastic recovery requires (any loss tears down the whole
-    /// world).
-    std::function<std::shared_ptr<comm::DeviceMesh>(int world_size)>
-        mesh_factory;
     /// Called once per round on the freshly built mesh (fault-drill
     /// injection point).
     std::function<void(comm::DeviceMesh&, int64_t generation)> post_build;

@@ -192,21 +192,37 @@ TEST(CollectiveDtype, LowPrecisionReductionQuantizes) {
 }
 
 TEST(DeviceMeshTest, GroupStructure) {
-  comm::DeviceMesh mesh(8, 4);
-  EXPECT_EQ(mesh.num_shard_groups(), 2);
-  RunOnRanks(8, [&](int r) {
-    auto shard = mesh.ShardGroup(r);
-    auto repl = mesh.ReplicateGroup(r);
-    ASSERT_EQ(shard.size(), 4);
-    ASSERT_EQ(repl.size(), 2);
-    ASSERT_EQ(shard.rank(), r % 4);
-    ASSERT_EQ(repl.rank(), r / 4);
-    // Collective inside the shard group only mixes the 4 local ranks.
-    std::vector<float> buf = {static_cast<float>(r)};
-    shard.AllReduce(buf.data(), 1);
-    const int base = (r / 4) * 4;
-    ASSERT_EQ(buf[0], static_cast<float>(base * 4 + 6));  // sum of 4 ranks
-  });
+  // DeviceMesh(W, F) is the mesh {{"replicate", W/F}, {"shard", F}}: its
+  // FSDP groups are the two axis slices.
+  const int w = 8;
+  for (int f : {1, 2, 4, 8}) {
+    SCOPED_TRACE("F=" + std::to_string(f));
+    comm::DeviceMesh mesh(w, f);
+    EXPECT_EQ(mesh.sharding_factor(), f);
+    EXPECT_EQ(mesh.num_shard_groups(), w / f);
+    RunOnRanks(w, [&](int r) {
+      auto shard = mesh.ShardGroup(r);
+      auto repl = mesh.ReplicateGroup(r);
+      comm::ProcessGroup shard_slice, repl_slice;
+      ASSERT_TRUE(mesh.Slice("shard", r, &shard_slice).ok());
+      ASSERT_TRUE(mesh.Slice("replicate", r, &repl_slice).ok());
+      ASSERT_EQ(shard.communicator(), shard_slice.communicator());
+      ASSERT_EQ(shard.rank(), shard_slice.rank());
+      ASSERT_EQ(shard.size(), shard_slice.size());
+      ASSERT_EQ(repl.communicator(), repl_slice.communicator());
+      ASSERT_EQ(repl.rank(), repl_slice.rank());
+      ASSERT_EQ(repl.size(), repl_slice.size());
+      ASSERT_EQ(shard.size(), f);
+      ASSERT_EQ(repl.size(), w / f);
+      ASSERT_EQ(shard.rank(), r % f);
+      ASSERT_EQ(repl.rank(), r / f);
+      // Collective inside the shard group only mixes the F local ranks.
+      std::vector<float> buf = {static_cast<float>(r)};
+      shard.AllReduce(buf.data(), 1);
+      const int base = (r / f) * f;
+      ASSERT_EQ(buf[0], static_cast<float>(base * f + f * (f - 1) / 2));
+    });
+  }
 }
 
 TEST(DeviceMeshTest, HybridEqualsGlobalReduction) {
@@ -242,6 +258,17 @@ TEST(DeviceMeshTest, HybridEqualsGlobalReduction) {
 TEST(DeviceMeshTest, InvalidFactorsDie) {
   EXPECT_DEATH(comm::DeviceMesh(8, 3), "divide");
   EXPECT_DEATH(comm::DeviceMesh(8, 9), "out of");
+}
+
+TEST(DeviceMeshTest, FsdpGroupsOnAMeshWithoutFsdpAxesDie) {
+  std::shared_ptr<comm::DeviceMesh> mesh;
+  ASSERT_TRUE(comm::DeviceMesh::Create(4, {{"dp", 2}, {"tp", 2}}, &mesh).ok());
+  EXPECT_DEATH(mesh->ShardGroup(0),
+               "unknown mesh axis 'shard' \\(axes: dp, tp\\).*FsdpSubmesh");
+  EXPECT_DEATH(mesh->ReplicateGroup(0),
+               "unknown mesh axis 'replicate' \\(axes: dp, tp\\).*"
+               "FsdpSubmesh");
+  EXPECT_DEATH((void)mesh->sharding_factor(), "'shard'.*FsdpSubmesh");
 }
 
 TEST(CommStats, TracksBytesAndOps) {

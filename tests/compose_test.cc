@@ -106,13 +106,40 @@ TEST(DeviceMeshNdTest, CoordinatesAndSlices) {
   EXPECT_EQ(sub->world_size(), 2);
   EXPECT_EQ(sub->sharding_factor(), 2);
 
-  // Legacy two-argument meshes carry no named axes.
-  comm::DeviceMesh legacy(4, 4);
-  EXPECT_TRUE(legacy.axes().empty());
-  Status st = legacy.Slice("dp", 0, &tp);
+  // DeviceMesh(W, F) is shorthand for {{"replicate", W/F}, {"shard", F}}.
+  comm::DeviceMesh fsdp_mesh(4, 4);
+  ASSERT_EQ(fsdp_mesh.axes().size(), 2u);
+  EXPECT_EQ(fsdp_mesh.axes()[0].name, "replicate");
+  EXPECT_EQ(fsdp_mesh.axes()[0].size, 1);
+  EXPECT_EQ(fsdp_mesh.axes()[1].name, "shard");
+  EXPECT_EQ(fsdp_mesh.axes()[1].size, 4);
+  Status st = fsdp_mesh.Slice("dp", 0, &tp);
   EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("no named axes"), std::string::npos)
+  EXPECT_NE(st.message().find("unknown mesh axis"), std::string::npos)
       << st.message();
+}
+
+TEST(DeviceMeshNdTest, SubmeshGroupsTakeTheMeshSettings) {
+  std::shared_ptr<comm::DeviceMesh> mesh;
+  ASSERT_TRUE(comm::DeviceMesh::Create(4, {{"dp", 2}, {"tp", 2}}, &mesh).ok());
+  mesh->SetDefaultTimeout(100);
+  mesh->SetDesyncDetection(true);
+  // Created after the settings: its groups are born with them.
+  std::shared_ptr<comm::DeviceMesh> sub;
+  ASSERT_TRUE(mesh->FsdpSubmesh("dp", 0, 2, &sub).ok());
+  const auto shard = sub->ShardGroup(0).communicator();
+  EXPECT_EQ(shard->name(), "dp0.shard0");
+  EXPECT_EQ(shard->default_timeout_ms(), 100);
+  EXPECT_TRUE(shard->desync_detection());
+  // Changed after: the mesh's setters reach every cached submesh group.
+  mesh->SetDefaultTimeout(50);
+  EXPECT_EQ(shard->default_timeout_ms(), 50);
+  EXPECT_EQ(sub->ReplicateGroup(1).communicator()->default_timeout_ms(), 50);
+  // And an abort on a submesh group reaches the mesh's other axes.
+  shard->Abort(Status::Invalid("injected shard failure"));
+  comm::ProcessGroup tp3;
+  ASSERT_TRUE(mesh->Slice("tp", 3, &tp3).ok());
+  EXPECT_TRUE(tp3.communicator()->aborted());
 }
 
 TEST(DeviceMeshNdTest, AxisSlicesCarryDisjointCollectives) {

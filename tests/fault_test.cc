@@ -4,7 +4,9 @@
 // with the abort Status, no keepalive leaks), the flight-recorder JSON dump,
 // Barrier() routed through the Issue() path, and error propagation out of
 // the FSDP / DDP train step (the step degrades instead of crashing).
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -16,6 +18,7 @@
 
 #include "autograd/engine.h"
 #include "comm/process_group.h"
+#include "common/rank_context.h"
 #include "common/threading.h"
 #include "core/fsdp.h"
 #include "ddp/ddp.h"
@@ -162,6 +165,42 @@ TEST(FaultTest, MeshTeardownRacingAbortPropagationNeverSelfJoins) {
   }
   stop = true;
   for (std::thread& t : hogs) t.join();
+}
+
+// Every mesh is one failure domain, the DeviceMesh(W, F) shorthand
+// included: a watchdog timeout in one shard group tears down the world and
+// every replicate group, whose collectives would otherwise wait forever for
+// the hung ranks.
+TEST(FaultTest, ShardGroupTimeoutAbortsTheWholeFsdpMesh) {
+  UseTempArtifactDir();
+  const int w = 4;
+  comm::DeviceMesh mesh(w, 2);
+  const auto shard0 = mesh.ShardGroup(0).communicator();
+  shard0->InjectFault({FaultKind::kHang, /*rank=*/1, /*seq=*/0, "", 0});
+  shard0->SetDefaultTimeout(80);
+  RunOnRanks(2, [&](int r) {
+    float v = 1.f;
+    EXPECT_FALSE(mesh.ShardGroup(r).AllReduce(&v, 1).WaitStatus().ok());
+  });
+  EXPECT_TRUE(shard0->aborted());
+  const auto world = mesh.WorldGroup(0).communicator();
+  const std::vector<std::shared_ptr<comm::Communicator>> siblings = {
+      world, mesh.ShardGroup(2).communicator(),
+      mesh.ReplicateGroup(0).communicator(),
+      mesh.ReplicateGroup(1).communicator()};
+  // The watchdog wakes shard0's own waiters first and aborts the rest of
+  // the domain right after, so the siblings may still be catching up.
+  const double deadline_us = MonotonicMicros() + 10e6;
+  auto all_aborted = [&] {
+    return std::all_of(siblings.begin(), siblings.end(),
+                       [](const auto& c) { return c->aborted(); });
+  };
+  while (!all_aborted() && MonotonicMicros() < deadline_us) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (const auto& c : siblings) EXPECT_TRUE(c->aborted()) << c->name();
+  EXPECT_TRUE(Contains(world->abort_status().message(), "'shard0'"))
+      << world->abort_status().message();
 }
 
 TEST(FaultTest, DesyncDetectionNamesSkippingRank) {
