@@ -887,6 +887,27 @@ Work ProcessGroup::Barrier(const CollectiveOptions& opts) {
 
 Work ProcessGroup::Send(const float* src, int64_t numel, int dst_rank,
                         const CollectiveOptions& opts) {
+  return SendImpl(src, numel, dst_rank, opts, {});
+}
+
+Work ProcessGroup::Recv(float* dst, int64_t numel, int src_rank,
+                        const CollectiveOptions& opts) {
+  return RecvImpl(dst, numel, src_rank, opts, {});
+}
+
+Work ProcessGroup::Send(const Tensor& src, int dst_rank,
+                        const CollectiveOptions& opts) {
+  return SendImpl(src.data(), src.numel(), dst_rank, opts, {src});
+}
+
+Work ProcessGroup::Recv(Tensor dst, int src_rank,
+                        const CollectiveOptions& opts) {
+  return RecvImpl(dst.data(), dst.numel(), src_rank, opts, {dst});
+}
+
+Work ProcessGroup::SendImpl(const float* src, int64_t numel, int dst_rank,
+                            const CollectiveOptions& opts,
+                            std::vector<Tensor> keepalive) {
   FSDP_CHECK_MSG(dst_rank >= 0 && dst_rank < size() && dst_rank != rank_,
                  "send peer " << dst_rank << " out of range for size "
                               << size() << " (self-send not supported)");
@@ -900,11 +921,12 @@ Work ProcessGroup::Send(const float* src, int64_t numel, int dst_rank,
       [c, r, src, numel, dst_rank] {
         return RunSend(c, r, src, numel, dst_rank);
       },
-      {}, /*root=*/dst_rank, /*p2p=*/true);
+      std::move(keepalive), /*root=*/dst_rank, /*p2p=*/true);
 }
 
-Work ProcessGroup::Recv(float* dst, int64_t numel, int src_rank,
-                        const CollectiveOptions& opts) {
+Work ProcessGroup::RecvImpl(float* dst, int64_t numel, int src_rank,
+                            const CollectiveOptions& opts,
+                            std::vector<Tensor> keepalive) {
   FSDP_CHECK_MSG(src_rank >= 0 && src_rank < size() && src_rank != rank_,
                  "recv peer " << src_rank << " out of range for size "
                               << size() << " (self-recv not supported)");
@@ -918,47 +940,7 @@ Work ProcessGroup::Recv(float* dst, int64_t numel, int src_rank,
       [c, r, dst, numel, src_rank] {
         return RunRecv(c, r, dst, numel, src_rank);
       },
-      {}, /*root=*/src_rank, /*p2p=*/true);
-}
-
-Work ProcessGroup::Send(const Tensor& src, int dst_rank,
-                        const CollectiveOptions& opts) {
-  Communicator* c = comm_.get();
-  const int r = rank_;
-  const float* data = src.data();
-  const int64_t numel = src.numel();
-  FSDP_CHECK_MSG(dst_rank >= 0 && dst_rank < size() && dst_rank != rank_,
-                 "send peer " << dst_rank << " out of range for size "
-                              << size() << " (self-send not supported)");
-  CommStats& s = mutable_stats();
-  ++s.send_ops;
-  s.send_bytes += numel * 4;
-  return Issue(
-      obs::EventKind::kSend, opts, "send", numel * 4,
-      [c, r, data, numel, dst_rank] {
-        return RunSend(c, r, data, numel, dst_rank);
-      },
-      {src}, /*root=*/dst_rank, /*p2p=*/true);
-}
-
-Work ProcessGroup::Recv(Tensor dst, int src_rank,
-                        const CollectiveOptions& opts) {
-  Communicator* c = comm_.get();
-  const int r = rank_;
-  float* data = dst.data();
-  const int64_t numel = dst.numel();
-  FSDP_CHECK_MSG(src_rank >= 0 && src_rank < size() && src_rank != rank_,
-                 "recv peer " << src_rank << " out of range for size "
-                              << size() << " (self-recv not supported)");
-  CommStats& s = mutable_stats();
-  ++s.recv_ops;
-  s.recv_bytes += numel * 4;
-  return Issue(
-      obs::EventKind::kRecv, opts, "recv", numel * 4,
-      [c, r, data, numel, src_rank] {
-        return RunRecv(c, r, data, numel, src_rank);
-      },
-      {dst}, /*root=*/src_rank, /*p2p=*/true);
+      std::move(keepalive), /*root=*/src_rank, /*p2p=*/true);
 }
 
 // -- raw bodies (comm-worker threads only) ----------------------------------

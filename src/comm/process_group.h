@@ -584,6 +584,10 @@ class ProcessGroup {
   Work BroadcastImpl(float* buf, int64_t numel, int root,
                      const CollectiveOptions& opts,
                      std::vector<Tensor> keepalive);
+  Work SendImpl(const float* src, int64_t numel, int dst_rank,
+                const CollectiveOptions& opts, std::vector<Tensor> keepalive);
+  Work RecvImpl(float* dst, int64_t numel, int src_rank,
+                const CollectiveOptions& opts, std::vector<Tensor> keepalive);
 
   // Raw per-rank collective bodies; run on the comm-worker threads only.
   // Static (no ProcessGroup capture) so an async op enqueued through a

@@ -9,6 +9,21 @@
 
 namespace fsdp::core {
 
+namespace {
+
+// An instruction a runtime guard executes outside the plan: an on-demand
+// gather, a wait, or an end-of-backward reshard of unit `unit`.
+plan::Instr GuardInstr(plan::Op op, int unit, plan::Phase phase) {
+  plan::Instr in;
+  in.op = op;
+  in.unit = unit;
+  in.phase = phase;
+  in.lane = op == plan::Op::kUnshard ? plan::Lane::kComm : plan::Lane::kHost;
+  return in;
+}
+
+}  // namespace
+
 const char* ShardingStrategyName(ShardingStrategy s) {
   switch (s) {
     case ShardingStrategy::kFullShard: return "FULL_SHARD";
@@ -77,6 +92,7 @@ FsdpState::FsdpState(nn::ModulePtr module, comm::DeviceMesh& mesh, int rank,
 
   BuildUnits(mesh);
   for (Unit& unit : units_) unit.log_unit = own_log_.UnitIndex(unit.name);
+  BuildPlan();
   // Per-iteration arming runs before any unit logic: register on the root
   // module ahead of the unit hooks (pre-hooks run in registration order).
   module_->RegisterForwardPreHook([this](nn::Module&, const Tensor&) {
@@ -106,7 +122,6 @@ void FsdpState::BuildUnits(comm::DeviceMesh& mesh) {
   struct PendingUnit {
     std::string name;
     nn::Module* module;
-    bool is_root;
     std::vector<std::pair<std::string, Tensor*>> named_slots;
   };
   std::vector<PendingUnit> pending;
@@ -140,7 +155,7 @@ void FsdpState::BuildUnits(comm::DeviceMesh& mesh) {
         for (auto& [pname, slot] : named_slots) {
           impl_to_unit.emplace(slot->impl().get(), pending.size());
         }
-        pending.push_back(PendingUnit{is_root ? "[root]" : fqn, &mod, is_root,
+        pending.push_back(PendingUnit{is_root ? "[root]" : fqn, &mod,
                                       std::move(named_slots)});
       };
   visit(*module_, "");
@@ -169,7 +184,6 @@ void FsdpState::BuildUnits(comm::DeviceMesh& mesh) {
     Unit unit;
     unit.name = it->name;
     unit.module = it->module;
-    unit.is_root = it->is_root;
     unit.handle = std::make_unique<FlatParamHandle>(
         unit.name, BuildParamInfos(it->named_slots), mesh.ShardGroup(rank_),
         mesh.sharding_factor() < world_size_ ? mesh.ReplicateGroup(rank_)
@@ -202,31 +216,97 @@ void FsdpState::AttachExecLog(plan::ExecLog* log, int stage) {
   for (Unit& unit : units_) unit.log_unit = log_->UnitIndex(unit.name);
 }
 
-int64_t FsdpState::Record(plan::Op op, const Unit* unit, plan::Phase phase,
-                          double t_begin, double t_end,
-                          int64_t resident_bytes, bool prefetch) {
+void FsdpState::BuildPlan() {
+  // Plan order: the forward order observed this iteration, then every unit
+  // it did not reach (definition order), so each unit has its instructions
+  // even in a step that skips it. A root module that owns no parameters
+  // forms no unit: the plan's root slot is then a placeholder (-1).
+  std::vector<int> order = forward_order_;
+  if (units_[0].module != module_.get()) {
+    order.insert(order.begin(), -1);
+  } else if (order.empty()) {
+    order.push_back(0);
+  }
+  for (int i = num_units(); i-- > 0;) {
+    if (std::find(order.begin(), order.end(), i) == order.end()) {
+      order.push_back(i);
+    }
+  }
+  std::vector<std::string> names;
+  for (int i : order) {
+    names.push_back(i < 0 ? "[root]" : units_[static_cast<size_t>(i)].name);
+  }
+
+  plan::FsdpPlanOptions o = plan::FsdpPlanOptions::Runtime();
+  o.reshard_after_forward = ReshardAfterForward(options_.strategy);
+  o.backward_prefetch = options_.backward_prefetch;
+  // Forward prefetch follows the previous iteration's order (Sec 3.3.3):
+  // there is none before an order was observed.
+  o.forward_prefetch = options_.forward_prefetch && !forward_order_.empty();
+  o.replica_allreduce = units_[0].handle->replicate_pg().valid();
+  o.accum = require_sync_ ? plan::AccumMode::kReduceEveryMicrobatch
+                          : plan::AccumMode::kNoSync;
+  plan_ = plan::BuildFsdpStepPlan(names, o);
+  plan_order_ = forward_order_;
+  plan_sync_ = require_sync_;
+
+  // Hand each hook its instructions, unit indices mapped onto units_.
+  for (Unit& unit : units_) {
+    for (auto& steps : unit.steps) steps.clear();
+    unit.ends_sharded = false;
+  }
+  end_of_backward_.clear();
+  for (size_t k = 0; k < plan_.instrs.size(); ++k) {
+    // A prefetch runs with its neighbour: a forward prefetch in the hook of
+    // the unit whose compute follows it (Sec 3.3.3), a backward prefetch in
+    // the hook of the unit whose backward precedes it (Sec 3.3.2).
+    size_t anchor = k;
+    while (plan_.instrs[anchor].op == plan::Op::kUnshard &&
+           plan_.instrs[anchor].prefetch) {
+      anchor = plan_.instrs[anchor].phase == plan::Phase::kForward
+                   ? anchor + 1
+                   : anchor - 1;
+    }
+    const plan::Instr& a = plan_.instrs[anchor];
+    plan::Instr in = plan_.instrs[k];
+    in.deps.clear();
+    if (in.op == plan::Op::kWaitReduceGrad) {
+      end_of_backward_.push_back(std::move(in));
+      continue;
+    }
+    // The optimizer step is the caller's; a placeholder root's instructions
+    // run nowhere.
+    if (in.unit < 0 || order[static_cast<size_t>(a.unit)] < 0) continue;
+    in.unit = order[static_cast<size_t>(in.unit)];
+    if (in.op == plan::Op::kReshard && in.phase == plan::Phase::kBackward) {
+      units_[static_cast<size_t>(in.unit)].ends_sharded = true;
+    }
+    // Gathers and waits precede the unit's compute; forward compute starts
+    // in pre-forward; backward compute, reductions and the backward reshard
+    // close the unit's backward in post-backward.
+    const bool gather =
+        a.op == plan::Op::kUnshard || a.op == plan::Op::kWaitUnshard;
+    const Hook hook =
+        a.phase == plan::Phase::kForward
+            ? (a.op == plan::Op::kReshard ? kPostForward : kPreForward)
+            : (gather ? kPreBackward : kPostBackward);
+    units_[static_cast<size_t>(order[static_cast<size_t>(a.unit)])]
+        .steps[hook]
+        .push_back(std::move(in));
+  }
+}
+
+int64_t FsdpState::Record(const plan::Instr& in, double t_begin, double t_end,
+                          int64_t resident_bytes) {
   if (!options_.record_events) return -1;
   plan::ExecEntry e;
-  e.instr.op = op;
-  e.instr.unit = unit ? unit->log_unit : -1;
-  e.instr.phase = phase;
-  e.instr.prefetch = prefetch;
+  e.instr = in;
+  if (in.unit >= 0) {
+    e.instr.unit = units_[static_cast<size_t>(in.unit)].log_unit;
+  }
   e.instr.stage = stage_;
   e.instr.microbatch = microbatch_;
-  switch (op) {
-    case plan::Op::kUnshard:
-    case plan::Op::kReduceGrad:
-    case plan::Op::kAllReduceReplicas:
-      e.instr.lane = plan::Lane::kComm;
-      break;
-    case plan::Op::kCompute:
-      e.instr.lane = plan::Lane::kCompute;
-      break;
-    default:
-      e.instr.lane = plan::Lane::kHost;
-      break;
-  }
-  e.kind = plan::ToEventKind(op, phase);
+  e.kind = plan::ToEventKind(in.op, in.phase);
   e.t_begin_us = e.t_exec_us = t_begin;
   e.t_end_us = t_end;
   e.resident_bytes = resident_bytes;
@@ -243,80 +323,111 @@ void FsdpState::ArmIteration() {
   // New iteration: arm per-pass state. (Multiple forwards before a backward
   // keep appending to forward_order_ — the order rolls over only when a
   // backward completes.)
-  if (forward_seen_.empty()) {
-    forward_order_.clear();
-    for (Unit& unit : units_) unit.backward_done = false;
+  if (forward_seen_.empty()) forward_order_.clear();
+}
+
+void FsdpState::Execute(const plan::Instr& in) {
+  Unit& unit = units_[static_cast<size_t>(in.unit)];
+  const int64_t unit_bytes = unit.handle->padded_numel() * 4;
+  switch (in.op) {
+    case plan::Op::kUnshard:
+      // Issue guard: a unit already gathered or in flight needs nothing.
+      if (unit.inflight || unit.handle->is_unsharded()) return;
+      // Rate limiter (Sec 3.4): a prefetch past limit_all_gathers pending
+      // gathers is skipped; the unit's own pre-hook gathers it on demand.
+      if (in.prefetch && options_.limit_all_gathers > 0 &&
+          inflight_ >= options_.limit_all_gathers) {
+        ++throttled_prefetches_;
+        obs::MetricsRegistry::Get()
+            .GetCounter("fsdp.throttled_prefetches")
+            .Add(1);
+        FSDP_LOG(kDebug,
+                 "throttle " << unit.name << " (inflight " << inflight_ << ")");
+        return;
+      }
+      // Async issue: the AllGather proceeds on the comm worker while this
+      // rank thread keeps computing; the wait times the entry from the Work.
+      unit.handle->UnshardAsync(unit.name);
+      FSDP_LOG(kDebug, "AG " << unit.name << " (" << unit_bytes << " bytes)");
+      unit.gather_entry = Record(in, 0, 0, unit_bytes);
+      unit.inflight = true;
+      max_inflight_ = std::max(max_inflight_, ++inflight_);
+      return;
+    case plan::Op::kWaitUnshard:
+      // Blocks only on an in-flight gather (counting genuinely pending
+      // ones), and frees the unit's rate-limiter slot.
+      if (unit.handle->unshard_in_flight()) {
+        if (!unit.handle->unshard_work().Completed()) ++waits_on_pending_;
+        const comm::Work gather = options_.record_events
+                                      ? unit.handle->unshard_work()
+                                      : comm::Work();
+        const double t0 = Now();
+        NoteError(unit.handle->WaitUnshard());
+        FinishCollective(unit.gather_entry, gather);
+        unit.gather_entry = -1;
+        Record(in, t0, Now());
+      }
+      if (unit.inflight) {
+        unit.inflight = false;
+        --inflight_;
+      }
+      return;
+    case plan::Op::kCompute:
+      if (in.phase == plan::Phase::kForward) {
+        // Starts after the unit's wait, so the compute span never absorbs
+        // the gather wait (the overlap assertions would trivially pass).
+        unit.fwd_begin_us = Now();
+        unit.fwd_entry = Record(in, unit.fwd_begin_us, 0);
+      } else {
+        // The unit's backward ran from its pre-backward to this hook.
+        const double now = Now();
+        Record(in, unit.bwd_begin_us > 0 ? unit.bwd_begin_us : now, now);
+        unit.bwd_begin_us = 0;
+      }
+      return;
+    case plan::Op::kReshard: {
+      const double t0 = Now();
+      unit.handle->Reshard();  // also lands a gather still in flight
+      Record(in, t0, Now());
+      return;
+    }
+    case plan::Op::kReduceGrad:
+      // Async issue of the ReduceScatter; OnBackwardFinal waits for it (and
+      // runs the hybrid replica AllReduce) so the rank thread never stalls
+      // here behind a prefetched AllGather on the same comm stream.
+      unit.handle->BeginGradientReduce(static_cast<float>(world_size_),
+                                       unit.name);
+      unit.reduce_entry = Record(in, 0, 0, unit_bytes);
+      return;
+    case plan::Op::kAllReduceReplicas:
+      // Recorded here, in issue order; run and timed at end of backward.
+      unit.replica_entry = Record(in, 0, 0, unit_bytes);
+      return;
+    default:
+      FSDP_CHECK_MSG(false, "no FSDP hook runs " << plan::OpName(in.op));
   }
 }
 
-void FsdpState::IssueUnshard(Unit& unit, plan::Phase phase, bool prefetch) {
-  if (unit.inflight || unit.handle->is_unsharded()) return;
-  // Async issue: the AllGather proceeds on the comm worker while this rank
-  // thread keeps computing; ConsumeUnshard waits at first parameter use and
-  // times the entry from the Work handle.
-  unit.handle->UnshardAsync(unit.name);
-  FSDP_LOG(kDebug, "AG " << unit.name << " ("
-                         << unit.handle->padded_numel() * 4 << " bytes)");
-  unit.gather_entry = Record(plan::Op::kUnshard, &unit, phase, 0, 0,
-                             unit.handle->padded_numel() * 4, prefetch);
-  unit.inflight = true;
-  ++inflight_;
-  max_inflight_ = std::max(max_inflight_, inflight_);
-}
-
-void FsdpState::Prefetch(Unit* next, plan::Phase phase) {
-  if (!next) return;
-  if (options_.limit_all_gathers > 0 &&
-      inflight_ >= options_.limit_all_gathers) {
-    ++throttled_prefetches_;
-    obs::MetricsRegistry::Get().GetCounter("fsdp.throttled_prefetches").Add(1);
-    FSDP_LOG(kDebug,
-             "throttle " << next->name << " (inflight " << inflight_ << ")");
-    return;
+void FsdpState::RunPreHook(Unit& unit, Hook hook, plan::Phase phase) {
+  // The unit's own gather leads: the plan's, or — when the plan counted on
+  // a prefetch the rate limiter skipped, or the hook fired out of plan
+  // order — one on demand. Either way it is issued before the hook's
+  // prefetches, so the limiter counts it first.
+  const std::vector<plan::Instr>& steps = unit.steps[hook];
+  if (steps.empty() || steps[0].op != plan::Op::kUnshard ||
+      steps[0].unit != Index(unit)) {
+    Execute(GuardInstr(plan::Op::kUnshard, Index(unit), phase));
   }
-  IssueUnshard(*next, phase, /*prefetch=*/true);
-}
-
-void FsdpState::ConsumeUnshard(Unit& unit, plan::Phase phase) {
-  if (unit.handle->unshard_in_flight()) {
-    if (!unit.handle->unshard_work().Completed()) ++waits_on_pending_;
-    const comm::Work gather = options_.record_events
-                                  ? unit.handle->unshard_work()
-                                  : comm::Work();
-    const double t0 = Now();
-    NoteError(unit.handle->WaitUnshard());
-    FinishCollective(unit.gather_entry, gather);
-    unit.gather_entry = -1;
-    Record(plan::Op::kWaitUnshard, &unit, phase, t0, Now());
-  }
-  if (unit.inflight) {
-    unit.inflight = false;
-    --inflight_;
-  }
+  for (const plan::Instr& in : steps) Execute(in);
+  // The parameters are read next: wait on a gather still in flight.
+  Execute(GuardInstr(plan::Op::kWaitUnshard, Index(unit), phase));
 }
 
 void FsdpState::OnPreForward(Unit& unit) {
-  const int index = static_cast<int>(&unit - units_.data());
-  if (!forward_seen_.count(index)) {
-    forward_seen_.insert(index);
-    forward_order_.push_back(index);
-  }
-  IssueUnshard(unit, plan::Phase::kForward);
+  const int index = Index(unit);
+  if (forward_seen_.insert(index).second) forward_order_.push_back(index);
+  RunPreHook(unit, kPreForward, plan::Phase::kForward);
   unit.handle->UseUnshardedViews();
-
-  // Forward prefetch: issue the next unit's AllGather (previous iteration's
-  // order) before this unit's forward computation (Sec 3.3.3).
-  if (options_.forward_prefetch) {
-    Prefetch(NextForwardPrefetchTarget(unit), plan::Phase::kForward);
-  }
-  // First real use of the parameters: wait for the pending AllGather before
-  // the unit's compute begins. Starting the compute entry after the wait
-  // keeps its span honest — it must not absorb the gather wait, or the
-  // overlap assertions would trivially pass.
-  ConsumeUnshard(unit, plan::Phase::kForward);
-  unit.fwd_begin_us = Now();
-  unit.fwd_entry = Record(plan::Op::kCompute, &unit, plan::Phase::kForward,
-                          unit.fwd_begin_us, 0);
 }
 
 void FsdpState::OnPostForward(Unit& unit, const Tensor& output) {
@@ -330,14 +441,7 @@ void FsdpState::OnPostForward(Unit& unit, const Tensor& output) {
   // nested backward needs them; its post-backward reshards) and skip the
   // pre-backward registration (the unit is already unsharded).
   if (autograd::InBackward()) return;
-  // The outermost unit's parameters intentionally stay in memory after
-  // forward (Sec 3.3.1), covering custom parameters between wrapped
-  // submodules; inner units reshard under RAF strategies.
-  if (ReshardAfterForward(options_.strategy) && !unit.is_root) {
-    const double t0 = Now();
-    unit.handle->Reshard();
-    Record(plan::Op::kReshard, &unit, plan::Phase::kForward, t0, Now());
-  }
+  RunHook(unit, kPostForward);
   // Pre-backward anchor: a Tensor hook on the unit's forward output fires
   // when the output's gradient is ready, just before backward enters the
   // unit (Sec 4.3).
@@ -354,56 +458,24 @@ void FsdpState::OnPreBackward(Unit& unit) {
   if (!final_callback_queued_) {
     final_callback_queued_ = true;
     autograd::QueueCallback([this] { OnBackwardFinal(); });
+    // First pre-backward of the iteration: its forward order is complete.
+    if (forward_order_ != plan_order_ || require_sync_ != plan_sync_) {
+      BuildPlan();
+    }
   }
-  IssueUnshard(unit, plan::Phase::kBackward);
-  ConsumeUnshard(unit, plan::Phase::kBackward);
+  RunPreHook(unit, kPreBackward, plan::Phase::kBackward);
   // The unit's backward compute runs from here until its post-backward hook
   // (stamped after the gather wait, like the forward compute).
   unit.bwd_begin_us = Now();
 }
 
-void FsdpState::OnPostBackward(Unit& unit) {
-  unit.backward_done = true;
-  const double now = Now();
-  Record(plan::Op::kCompute, &unit, plan::Phase::kBackward,
-         unit.bwd_begin_us > 0 ? unit.bwd_begin_us : now, now);
-  unit.bwd_begin_us = 0;
-  // Backward prefetch: issue the *next* AllGather before the *current*
-  // ReduceScatter so the single in-order communication stream does not
-  // stall the next gradient computation (Sec 3.3.2).
-  if (options_.backward_prefetch) {
-    Prefetch(NextBackwardPrefetchTarget(unit), plan::Phase::kBackward);
-  }
-  if (require_sync_) {
-    const int64_t grad_bytes = unit.handle->padded_numel() * 4;
-    // Async issue of the ReduceScatter; OnBackwardFinal waits for it (plus
-    // the replica AllReduce for hybrid sharding) so the rank thread never
-    // stalls here behind a prefetched AllGather on the same comm stream.
-    // Both entries are recorded here, in issue order, and timed there.
-    unit.handle->BeginGradientReduce(static_cast<float>(world_size_),
-                                     unit.name);
-    unit.reduce_entry = Record(plan::Op::kReduceGrad, &unit,
-                               plan::Phase::kBackward, 0, 0, grad_bytes);
-    if (unit.handle->replicate_pg().valid()) {
-      unit.replica_entry = Record(plan::Op::kAllReduceReplicas, &unit,
-                                  plan::Phase::kBackward, 0, 0, grad_bytes);
-    }
-    const double t0 = Now();
-    unit.handle->Reshard();
-    Record(plan::Op::kReshard, &unit, plan::Phase::kBackward, t0, Now());
-    ConsumeUnshard(unit, plan::Phase::kBackward);
-  }
-  // Without sync (accumulation-without-communication, Sec 3.3.4) the
-  // unsharded gradient stays on the autograd leaf and the parameters stay
-  // unsharded — trading memory for skipped communication.
-}
-
 void FsdpState::OnBackwardFinal() {
   // End of backward (Sec 4.3 queue_callback): complete the in-flight
   // gradient reductions (wait on the async ReduceScatters, run the hybrid
-  // replica AllReduce, divide and accumulate), reshard everything still
-  // unsharded, and roll the observed forward order into the next
-  // iteration's forward-prefetch hints.
+  // replica AllReduce, divide and accumulate), reshard what the plan
+  // expected sharded but is still gathered (a prefetch no hook used, a unit
+  // whose post-backward never ran), and roll the observed forward order
+  // into execution-order validation.
   const double reduce_wait_begin = Now();
   for (Unit& unit : units_) {
     FlatParamHandle::ReduceWork done;
@@ -415,19 +487,16 @@ void FsdpState::OnBackwardFinal() {
   }
   const double reduce_wait_end = Now();
   for (Unit& unit : units_) {
-    ConsumeUnshard(unit, plan::Phase::kBackward);  // straggling prefetches
-    if (unit.handle->is_unsharded() && require_sync_) {
-      const double t0 = Now();
-      unit.handle->Reshard();
-      Record(plan::Op::kReshard, &unit, plan::Phase::kBackward, t0, Now());
+    const int u = Index(unit);
+    Execute(GuardInstr(plan::Op::kWaitUnshard, u, plan::Phase::kBackward));
+    if (unit.ends_sharded && unit.handle->is_unsharded()) {
+      Execute(GuardInstr(plan::Op::kReshard, u, plan::Phase::kBackward));
     }
   }
-  // The reductions issued through backward complete here (the Sec 4.3
-  // queue_callback join) — one end-of-backward wait in the log, spanning
-  // the FinishGradientReduce joins above.
-  if (require_sync_) {
-    Record(plan::Op::kWaitReduceGrad, nullptr, plan::Phase::kBackward,
-           reduce_wait_begin, reduce_wait_end);
+  // The plan's join of the reductions issued through backward: one
+  // end-of-backward wait in the log, spanning the joins above.
+  for (const plan::Instr& in : end_of_backward_) {
+    Record(in, reduce_wait_begin, reduce_wait_end);
   }
   // Execution-order validation (Sec 3.3.2's "freshly observed each
   // iteration"): surface dynamic-graph order changes.
@@ -440,56 +509,6 @@ void FsdpState::OnBackwardFinal() {
   prev_forward_order_ = forward_order_;
   forward_seen_.clear();
   final_callback_queued_ = false;
-}
-
-FsdpState::Unit* FsdpState::NextBackwardPrefetchTarget(const Unit& current) {
-  const int index = static_cast<int>(&current - units_.data());
-  auto pos = std::find(forward_order_.begin(), forward_order_.end(), index);
-  if (pos == forward_order_.end()) return nullptr;
-  // Walk backwards through the pre-forward order (its reverse approximates
-  // the pre-backward order).
-  while (pos != forward_order_.begin()) {
-    --pos;
-    Unit& candidate = units_[static_cast<size_t>(*pos)];
-    if (!candidate.backward_done && !candidate.handle->is_unsharded() &&
-        !candidate.handle->unshard_in_flight()) {
-      return &candidate;
-    }
-  }
-  return nullptr;
-}
-
-FsdpState::Unit* FsdpState::NextForwardPrefetchTarget(const Unit& current) {
-  const int index = static_cast<int>(&current - units_.data());
-  auto pos = std::find(prev_forward_order_.begin(), prev_forward_order_.end(),
-                       index);
-  if (pos == prev_forward_order_.end()) return nullptr;
-  ++pos;
-  if (pos == prev_forward_order_.end()) return nullptr;
-  Unit& next = units_[static_cast<size_t>(*pos)];
-  if (next.handle->is_unsharded() || next.handle->unshard_in_flight()) {
-    return nullptr;
-  }
-  return &next;
-}
-
-plan::StepPlan FsdpState::ExpectedStepPlan() const {
-  // Plan unit order = forward execution order. Units are stored outermost
-  // first, then reversed post-order, so forward order is units_[0] followed
-  // by units_[n-1] .. units_[1].
-  std::vector<std::string> names;
-  names.reserve(units_.size());
-  names.push_back(units_[0].name);
-  for (size_t i = units_.size(); i-- > 1;) names.push_back(units_[i].name);
-
-  plan::FsdpPlanOptions o = plan::FsdpPlanOptions::Runtime();
-  o.reshard_after_forward = ReshardAfterForward(options_.strategy);
-  o.backward_prefetch = options_.backward_prefetch;
-  o.forward_prefetch = options_.forward_prefetch;
-  o.replica_allreduce = units_[0].handle->replicate_pg().valid();
-  o.accum = require_sync_ ? plan::AccumMode::kReduceEveryMicrobatch
-                          : plan::AccumMode::kNoSync;
-  return plan::BuildFsdpStepPlan(names, o);
 }
 
 std::vector<Tensor> FsdpState::Parameters() {

@@ -9,51 +9,49 @@
 //
 // Both share one runtime, FsdpState, which decomposes the model into FSDP
 // units via an auto-wrap policy, gives each unit a FlatParamHandle, and
-// drives the schedule:
+// executes the step plan plan::BuildFsdpStepPlan (plan/builder.h) emits for
+// its options over the observed forward order. The schedule — backward
+// prefetch (Sec 3.3.2), forward prefetch by the previous iteration's order
+// (Sec 3.3.3), reshard-after-forward with the outermost unit kept (Sec
+// 3.3.1), the reductions a no_sync step skips (Sec 3.3.4) — is decided
+// there; each hook runs its unit's instructions of that plan:
 //
-//   pre-forward   unshard (AllGather) + install parameter views + optional
-//                 *forward prefetch* of the next unit by the previous
-//                 iteration's order (Sec 3.3.3);
-//   post-forward  reshard (strategies with reshard-after-forward; the
-//                 outermost unit is intentionally kept unsharded, Sec 3.3.1)
-//                 and register the pre-backward hook on the unit output;
-//   pre-backward  re-unshard if resharded after forward (Sec 4.3 Tensor
-//                 hook);
+//   pre-forward   AllGather, forward prefetch, wait, start of the compute;
+//   post-forward  reshard-after-forward; registers the pre-backward hook on
+//                 the unit output (Sec 4.3 Tensor hook);
+//   pre-backward  re-gather and wait;
 //   post-backward (AccumulateGrad hook on the unsharded FlatParameter)
-//                 optional *backward prefetch* — issue the next unit's
-//                 AllGather before this unit's ReduceScatter (Sec 3.3.2) —
-//                 then ReduceScatter(+AllReduce for hybrid) and reshard;
-//   end-backward  (queue_callback) reshard everything, roll execution order
-//                 into the next iteration's prefetch hints (Sec 4.3).
+//                 backward prefetch, ReduceScatter(+AllReduce for hybrid),
+//                 reshard;
+//   end-backward  (queue_callback) completes the reductions (the plan's join).
 //
-// Unshards are issued *asynchronously*: IssueUnshard enqueues the AllGather
-// on the comm-worker runtime (comm/process_group.h) and returns; the rank
-// thread blocks only in ConsumeUnshard, at the first real use of the
-// parameters. Prefetched AllGathers therefore genuinely proceed while the
-// current unit computes, and a rate limiter caps genuinely *pending* work:
-// at most limit_all_gathers un-waited unshards exist at a time (default 2,
-// the paper's minimum for overlap, Sec 3.4) — prefetch beyond the cap is
-// deferred. Gradient reductions are likewise split: the ReduceScatter is
-// issued async at post-backward and completed at end-of-backward, so the
-// rank thread never stalls behind a prefetched AllGather on the same
-// communication stream.
+// The plan is rebuilt at the first pre-backward of an iteration when the
+// observed order (a dynamic graph; surfaced via order_changed() and the
+// fsdp.order_changes counter) or require_backward_grad_sync changed. The
+// hooks keep only guards: an unshard of a unit gathered or in flight does
+// nothing; a hook out of plan order (activation-checkpoint recompute, unused
+// units) still runs exactly its unit's instructions and gathers on demand.
 //
-// The runtime also validates execution order: if the observed pre-forward
-// order changes between iterations (a dynamic graph), prefetch hints adapt
-// — the freshly-observed-order property of Sec 3.3.2 — and the change is
-// surfaced via order_changed() and the fsdp.order_changes counter.
+// Unshards are *asynchronous*: the AllGather runs on the comm-worker runtime
+// (comm/process_group.h) and the rank thread blocks only at the plan's wait,
+// so prefetched gathers overlap compute. The rate limiter caps *pending*
+// gathers at limit_all_gathers (default 2, the paper's minimum for overlap,
+// Sec 3.4): a prefetch beyond it is skipped and its unit gathered on demand.
+// ReduceScatters are issued at post-backward and completed at end of
+// backward, so the rank thread never stalls behind a prefetched AllGather.
 //
-// Every action is recorded once, into this rank's plan::ExecLog: the typed
-// plan instruction with its begin, exec-start and end times and its wire
-// and resident bytes. Collectives are timed from their comm::Work handle
-// when the rank thread waits on them; the hooks time computes, waits and
-// reshards. The rest are views of that log: executed_plan() and its
+// Every action is recorded once, into this rank's plan::ExecLog: the
+// executed plan instruction with its begin, exec-start and end times and its
+// wire and resident bytes. Collectives are timed from their comm::Work
+// handle when the rank thread waits on them; the hooks time computes, waits
+// and reshards. The rest are views of that log: executed_plan() and its
 // canonical projection executed_schedule() (compared against
 // ExpectedStepPlan() and the simulator's plan by tests/plan_test.cc),
 // trace_events() (also published to an enabled obs::TraceCollector), and
 // obs::BuildStepProfiles, which reads the times from exec_log().
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -170,14 +168,16 @@ class FsdpState {
   std::vector<std::string> executed_schedule() const {
     return log_->Snapshot().Canonical();
   }
-  /// The step plan the shared PlanBuilder predicts for this state's options
-  /// and unit structure (unit names in forward execution order). The
-  /// anti-drift contract: executed_schedule() == ExpectedStepPlan()
-  /// .Canonical() for a steady-state iteration.
-  plan::StepPlan ExpectedStepPlan() const;
+  /// The step plan the hooks execute: the shared PlanBuilder's runtime
+  /// shape for this state's options, unit names in the last observed
+  /// forward order (definition order before the first backward). A root
+  /// module without parameters leaves its "[root]" slot a placeholder no
+  /// hook runs. The anti-drift contract: executed_schedule() ==
+  /// ExpectedStepPlan().Canonical() for a steady-state iteration.
+  plan::StepPlan ExpectedStepPlan() const { return plan_; }
   int max_inflight_unshards() const { return max_inflight_; }
   int throttled_prefetches() const { return throttled_prefetches_; }
-  /// How often ConsumeUnshard had to block on an AllGather that was still
+  /// How often a wait had to block on an AllGather that was still
   /// genuinely pending (issued but incomplete) — the overlap-miss count.
   int waits_on_pending() const { return waits_on_pending_; }
   /// True if the last completed iteration observed a pre-forward order
@@ -205,13 +205,18 @@ class FsdpState {
   void set_composed_microbatch(int mb) { microbatch_ = mb; }
 
  private:
+  /// The unit hooks that run plan instructions.
+  enum Hook : int { kPreForward, kPostForward, kPreBackward, kPostBackward,
+                    kNumHooks };
+
   struct Unit {
     std::string name;
     nn::Module* module = nullptr;
     std::unique_ptr<FlatParamHandle> handle;
-    bool is_root = false;
+    /// Its hooks' instructions of the current plan (Instr::unit: units_).
+    std::array<std::vector<plan::Instr>, kNumHooks> steps;
+    bool ends_sharded = false;    // the plan reshards it in backward
     bool inflight = false;        // unsharded but not yet consumed
-    bool backward_done = false;   // this backward pass
     int log_unit = -1;            // the unit's index in the log's names
     int64_t gather_entry = -1;    // AllGather awaiting its Work times
     int64_t fwd_entry = -1;       // forward compute awaiting its end
@@ -223,16 +228,21 @@ class FsdpState {
 
   void BuildUnits(comm::DeviceMesh& mesh);
   void InstallHooks();
+  int Index(const Unit& unit) const {
+    return static_cast<int>(&unit - units_.data());
+  }
+  /// Builds plan_ over the observed order and hands out its instructions.
+  void BuildPlan();
+
   /// The clock when recording, else 0 (no clock read).
   double Now() const {
     return options_.record_events ? MonotonicMicros() : 0;
   }
-  /// Records an entry for `op` on `unit` (nullptr: unit-less) spanning
-  /// [t_begin, t_end]; t_end 0 leaves it for a later Finish. Returns its
-  /// id, or -1 when not recording.
-  int64_t Record(plan::Op op, const Unit* unit, plan::Phase phase,
-                 double t_begin, double t_end, int64_t resident_bytes = 0,
-                 bool prefetch = false);
+  /// Records executed instruction `in`, stamped with the stage and
+  /// microbatch, spanning [t_begin, t_end]; t_end 0 leaves it for a later
+  /// Finish. Returns its id, or -1 when not recording.
+  int64_t Record(const plan::Instr& in, double t_begin, double t_end,
+                 int64_t resident_bytes = 0);
   /// Times collective entry `id` from its completed Work handle.
   void FinishCollective(int64_t id, const comm::Work& work);
 
@@ -242,30 +252,21 @@ class FsdpState {
   }
 
   void ArmIteration();  // root pre-forward: per-iteration reset
-  /// Issues a prefetch of `next` (if any) unless the rate limiter is full
-  /// (Sec 3.4), in which case the prefetch is counted as throttled.
-  void Prefetch(Unit* next, plan::Phase phase);
-  /// Issues the unit's AllGather asynchronously (no-op if unsharded or
-  /// already in flight) and counts it against the rate limiter. `phase` and
-  /// `prefetch` annotate the recorded plan instruction.
-  void IssueUnshard(Unit& unit, plan::Phase phase,
-                    bool prefetch = false);
-  /// First-use point: waits for the unit's pending AllGather (counting
-  /// genuinely-pending waits) and releases its rate-limiter slot.
-  void ConsumeUnshard(Unit& unit, plan::Phase phase = plan::Phase::kNone);
+  /// Executes one instruction on its unit: a plan instruction, or one a
+  /// runtime guard issues outside the plan (fsdp.cc GuardInstr).
+  void Execute(const plan::Instr& in);
+  /// Runs a pre-forward / pre-backward hook: the unit's own gather (on
+  /// demand if the plan has none here), its instructions, a final wait.
+  void RunPreHook(Unit& unit, Hook hook, plan::Phase phase);
+  void RunHook(Unit& unit, Hook hook) {
+    for (const plan::Instr& in : unit.steps[hook]) Execute(in);
+  }
 
   void OnPreForward(Unit& unit);
   void OnPostForward(Unit& unit, const Tensor& output);
   void OnPreBackward(Unit& unit);
-  void OnPostBackward(Unit& unit);
+  void OnPostBackward(Unit& unit) { RunHook(unit, kPostBackward); }
   void OnBackwardFinal();
-
-  /// Backward prefetch target: previous unit in this iteration's forward
-  /// order whose backward hasn't run (reverse pre-forward order, Sec 3.3.2).
-  Unit* NextBackwardPrefetchTarget(const Unit& current);
-  /// Forward prefetch target: unit after `current` in the previous
-  /// iteration's forward order (Sec 3.3.3).
-  Unit* NextForwardPrefetchTarget(const Unit& current);
 
   nn::ModulePtr module_;
   int rank_;
@@ -279,6 +280,11 @@ class FsdpState {
   std::vector<int> prev_forward_order_;  // last completed iteration
   std::unordered_set<int> forward_seen_;
   bool order_changed_ = false;
+
+  plan::StepPlan plan_;                       // the plan the hooks execute
+  std::vector<int> plan_order_;               // forward order it was built on
+  bool plan_sync_ = true;                     // require_sync_ it was built on
+  std::vector<plan::Instr> end_of_backward_;  // its end-of-backward join
 
   int inflight_ = 0;
   int max_inflight_ = 0;

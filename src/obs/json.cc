@@ -52,8 +52,15 @@ class Parser {
     if (pos_ >= text_.size()) return Fail("unexpected end of input");
     const char c = text_[pos_];
     switch (c) {
-      case '{': return ParseObject(out);
-      case '[': return ParseArray(out);
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxJsonDepth) {
+          return Fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+        }
+        Status st = c == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return st;
+      }
       case '"': {
         std::string s;
         Status st = ParseString(&s);
@@ -200,6 +207,7 @@ class Parser {
   }
 
   const std::string& text_;
+  int depth_ = 0;  // arrays/objects open at pos_
   size_t pos_ = 0;
 };
 

@@ -67,7 +67,13 @@ class JsonValue {
   std::shared_ptr<JsonObject> object_;
 };
 
+/// Deepest array/object nesting ParseJson accepts. The parser recurses once
+/// per level, so the cap bounds its stack use; the deepest artifact this
+/// repo writes (flight-recorder dumps, PROFILE_*.json) nests 5 levels.
+constexpr int kMaxJsonDepth = 256;
+
 /// Parses `text` as one JSON document (trailing whitespace allowed).
+/// Nesting deeper than kMaxJsonDepth is rejected as Status::Invalid.
 Result<JsonValue> ParseJson(const std::string& text);
 
 /// Reads and parses a JSON file.

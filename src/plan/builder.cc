@@ -6,25 +6,6 @@
 
 namespace fsdp::plan {
 
-const char* ReshardPolicyName(ReshardPolicy p) {
-  switch (p) {
-    case ReshardPolicy::kAfterBackward: return "after_backward";
-    case ReshardPolicy::kIfGradSync: return "if_grad_sync";
-    case ReshardPolicy::kKeepUnsharded: return "keep_unsharded";
-    case ReshardPolicy::kNever: return "never";
-  }
-  return "?";
-}
-
-const char* AccumModeName(AccumMode m) {
-  switch (m) {
-    case AccumMode::kReduceEveryMicrobatch: return "reduce_every_microbatch";
-    case AccumMode::kReduceLastMicrobatch: return "reduce_last_microbatch";
-    case AccumMode::kNoSync: return "no_sync";
-  }
-  return "?";
-}
-
 Status FsdpPlanOptions::Validate() const {
   if (microbatches < 1) {
     return Status::Invalid("microbatches must be >= 1, got " +
@@ -33,14 +14,11 @@ Status FsdpPlanOptions::Validate() const {
   // The rate limiter blocks unshards on freed-buffer events; a plan that
   // never reshards has no free events to unblock on, so the gates would
   // starve the schedule (the simulator's CPU thread deadlocks in effect).
-  const bool backward_frees = reshard == ReshardPolicy::kAfterBackward ||
-                              reshard == ReshardPolicy::kIfGradSync;
-  if (limiter && !reshard_after_forward && !backward_frees) {
+  if (limiter && !reshard_after_forward &&
+      reshard == ReshardPolicy::kKeepUnsharded) {
     return Status::Invalid(
-        std::string("rate limiter would starve: no reshard ever frees an "
-                    "unsharded buffer (reshard_after_forward=false, "
-                    "reshard=") +
-        ReshardPolicyName(reshard) + ")");
+        "rate limiter would starve: no reshard ever frees an unsharded "
+        "buffer (reshard_after_forward=false, reshard=keep_unsharded)");
   }
   return Status::OK();
 }
@@ -60,10 +38,11 @@ FsdpPlanOptions FsdpPlanOptions::Sim() {
 
 namespace {
 
-// Per-unit emission state. Mirrors the runtime's own guards (FsdpState's
-// is_unsharded / in_flight / backward_done) so the builder emits exactly the
-// instructions execution would: an unshard is only emitted for a currently
-// sharded unit, and prefetch targets skip units already gathered.
+// Per-unit emission state. The builder decides the schedule: an unshard is
+// only emitted for a currently sharded unit, and prefetch targets skip units
+// already gathered or done with backward. core::FsdpState executes the
+// runtime-shape plan as emitted; its guards only matter where execution
+// departs from the plan (a throttled prefetch, a hook out of plan order).
 struct UnitState {
   bool unsharded = false;
   bool backward_done = false;
@@ -135,7 +114,7 @@ class Emitter {
   /// — matching the runtime, which records a wait only for an in-flight
   /// unshard.
   void MaybeWait(int u, Phase phase) {
-    if (!o_.emit_waits || !st_[u].pending_wait) return;
+    if (!st_[u].pending_wait) return;
     Emit(Op::kWaitUnshard, u, phase, Seg::kMain, Lane::kHost, false, {});
     st_[u].pending_wait = false;
   }
@@ -170,7 +149,6 @@ class Emitter {
   }
 
   void BackwardReshard(int u, bool sync_mb) {
-    if (o_.reshard == ReshardPolicy::kNever) return;
     if (o_.reshard == ReshardPolicy::kIfGradSync && !sync_mb) return;
     const bool retain = o_.reshard == ReshardPolicy::kKeepUnsharded;
     int r = Emit(Op::kReshard, u, Phase::kBackward, Seg::kMain, Lane::kHost,
@@ -191,8 +169,10 @@ class Emitter {
       input_ex = Emit(Op::kInputExchange, -1, Phase::kForward, Seg::kMain,
                       Lane::kComm, false, {});
     }
-    // Root gathered first and kept through forward (Sec 3.3.1).
+    // Root gathered first and kept through forward (Sec 3.3.1); the forward
+    // prefetch of the first unit is issued before the root's wait.
     Unshard(0, Phase::kForward, false);
+    if (o_.forward_prefetch && n > 1) Unshard(1, Phase::kForward, true);
     MaybeWait(0, Phase::kForward);
     std::vector<int> root_deps;
     if (st_[0].last_unshard >= 0) root_deps.push_back(st_[0].last_unshard);
@@ -269,8 +249,9 @@ class Emitter {
       st_[idx].backward_done = true;
 
       // Backward prefetch: the next AllGather ahead of this ReduceScatter
-      // (Sec 3.3.2). Target search = the runtime's reverse walk of the
-      // forward order, skipping finished or already gathered units.
+      // (Sec 3.3.2). Target = the nearest earlier unit in forward order
+      // (reverse forward order approximates backward order) that is neither
+      // finished nor already gathered.
       if (o_.backward_prefetch) {
         for (int j = idx - 1; j >= 0; --j) {
           if (st_[j].backward_done || st_[j].unsharded) continue;
@@ -303,7 +284,6 @@ class Emitter {
   /// End-of-backward join: the issued reductions complete before the
   /// optimizer may observe gradients (queue_callback, Sec 4.3).
   void EmitWaitReduce() {
-    if (!o_.emit_waits) return;
     Emit(Op::kWaitReduceGrad, -1, Phase::kBackward, Seg::kMain, Lane::kHost,
          false, {});
   }

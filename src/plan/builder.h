@@ -5,17 +5,17 @@
 // strategy effects (reshard-after-forward, replica AllReduce, backward
 // reshard), backward/forward prefetch (Secs 3.3.2/3.3.3), the rate limiter
 // (Sec 3.4), CPU offload, and gradient accumulation with/without
-// communication (Sec 3.3.4). The builder simulates the runtime's own guards
-// (a prefetched unit is not re-unshared; prefetch targets skip units that
-// are still unsharded) so the emitted instruction order is exactly what the
-// functional layer executes and what the simulator replays.
+// communication (Sec 3.3.4). This is the one place the FSDP schedule is
+// decided: which unit is prefetched where, what reshards when, which
+// reductions a microbatch issues.
 //
 // Two fidelity *shapes* share the one emission core, selected by flags:
 //
-//   * runtime shape (FsdpPlanOptions::Runtime() / ExpectedStepPlan in
-//     core/fsdp.h): the root computes as one unit, Wait* markers are
-//     emitted, substrate bookkeeping (allocator frees, gates) is not — this
-//     matches the hook order core::FsdpState records;
+//   * runtime shape (FsdpPlanOptions::Runtime()): the plan core::FsdpState
+//     executes — its hooks run each unit's instructions (ExpectedStepPlan
+//     in core/fsdp.h returns it). The root computes as one unit, Wait*
+//     markers are emitted, substrate bookkeeping (allocator frees, gates)
+//     is not;
 //   * simulator shape (FsdpPlanOptions::Sim()): the analytic workloads
 //     split the root into embedding-side prologue + head epilogue, and the
 //     plan carries the rate-limiter gates and activation/gradient frees the
@@ -36,12 +36,10 @@
 
 namespace fsdp::plan {
 
-/// What happens to a unit's gathered parameter after its backward. Replaces
-/// the former backward_reshard / backward_reshard_frees /
-/// reshard_requires_sync boolean triple — the one policy is shared by the
-/// runtime (core::FsdpState::ExpectedStepPlan) and the simulator
-/// (simfsdp::BuildSimStepPlan), so both layers answer "is the parameter
-/// resident after backward?" identically.
+/// What happens to a unit's gathered parameter after its backward — one
+/// policy shared by the runtime and the simulator (simfsdp::
+/// BuildSimStepPlan), so both answer "is the parameter resident after
+/// backward?" identically.
 enum class ReshardPolicy : int {
   /// Free after each unit's backward, on every microbatch (ZeRO-3 style).
   kAfterBackward = 0,
@@ -52,14 +50,10 @@ enum class ReshardPolicy : int {
   /// Emit the reshard instruction but release nothing: the F = 1 no-op
   /// reshard, after which later unshards of the unit are skipped.
   kKeepUnsharded,
-  /// No backward reshard instruction at all.
-  kNever,
 };
 
-/// Gradient accumulation mode (Sec 3.3.4). Replaces the former grad_sync /
-/// accum_with_comm boolean pair; shared by the runtime and the simulator
-/// (the real-vs-sim no_sync drift closes because both derive their schedule
-/// from this one enum).
+/// Gradient accumulation mode (Sec 3.3.4), shared by the runtime and the
+/// simulator: both derive their no_sync schedule from this one enum.
 enum class AccumMode : int {
   /// Reduce every microbatch (accumulate *with* communication).
   kReduceEveryMicrobatch = 0,
@@ -69,9 +63,6 @@ enum class AccumMode : int {
   /// Drop every reduction — the step inside a no_sync guard.
   kNoSync,
 };
-
-const char* ReshardPolicyName(ReshardPolicy p);
-const char* AccumModeName(AccumMode m);
 
 struct FsdpPlanOptions {
   /// Free unsharded parameters after each non-root unit's forward; re-gather
@@ -99,10 +90,6 @@ struct FsdpPlanOptions {
   bool root_compute_split = false;
   /// Emit FreeGrad/FreeAct for the virtual-memory substrate.
   bool memory_instrs = false;
-  /// Emit WaitUnshard / WaitReduceGrad markers (the functional layer's
-  /// blocking points; the simulator's CPU thread deliberately never blocks
-  /// there — that run-ahead is the Sec 3.4 story).
-  bool emit_waits = true;
   int microbatches = 1;
 
   /// Checks knob consistency so an invalid combination fails at plan-build
@@ -112,7 +99,7 @@ struct FsdpPlanOptions {
   /// options programmatically can validate first.
   Status Validate() const;
 
-  /// Runtime-shape factory (validated): the plan core::FsdpState records —
+  /// Runtime-shape factory (validated): the plan core::FsdpState executes —
   /// root computes as one unit, Wait* markers emitted, no substrate
   /// bookkeeping, resharding tied to gradient sync (kIfGradSync).
   static FsdpPlanOptions Runtime();

@@ -12,12 +12,14 @@
 //
 // Two layers consume the same IR:
 //
-//   * the REAL runtime (core::FsdpState, ddp::DistributedDataParallel)
-//     records the instructions it actually executes, in issue order and
-//     with their measured times, into one per-rank ExecLog;
+//   * the REAL runtime executes it: core::FsdpState's hooks run their
+//     unit's instructions of the runtime-shape plan the builder
+//     (plan/builder.h) emits. It and ddp::DistributedDataParallel record
+//     every instruction they execute, in issue order and with measured
+//     times, into one per-rank ExecLog;
 //   * the SIMULATOR (simfsdp::FsdpSimulator / DdpSimulator) interprets a
-//     StepPlan emitted by the builder (plan/builder.h) against the
-//     virtual-time substrate — streams, caching allocator, cost models.
+//     StepPlan emitted by the builder against the virtual-time substrate —
+//     streams, caching allocator, cost models.
 //
 // CanonicalSchedule projects either side onto the schedule-defining ops so
 // tests can assert real-execution order == simulator-consumed plan order

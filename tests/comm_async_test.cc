@@ -187,7 +187,7 @@ nn::ModulePtr StressModel(int layers, uint64_t seed = 7) {
 TEST(RateLimiterTest, BoundsGenuinelyPendingWork) {
   // The acceptance check for the async runtime: with injected latency the
   // prefetched AllGathers are *really* un-waited when the limiter counts
-  // them — max_inflight must hit the cap exactly, and ConsumeUnshard must
+  // them — max_inflight must hit the cap exactly, and a unit's wait must
   // observe at least one still-pending handle (a real wait, not a no-op).
   const int w = 2, limit = 2;
   comm::DeviceMesh mesh(w, w);

@@ -2,6 +2,7 @@
 // a real multi-rank FSDP step, the Chrome-trace exporter (validated with the
 // in-repo JSON parser), metrics registry semantics, and clear/reset behavior.
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -186,6 +187,46 @@ TEST(ObsTraceTest, ChromeTraceJsonParsesWithMatchedEvents) {
   EXPECT_EQ(x_events, 3);
   // 2 processes + 3 distinct (rank, lane) thread lanes.
   EXPECT_EQ(meta_events, 5);
+}
+
+// The parser recurses once per nesting level: deep input must come back as
+// an error Status, not a stack overflow.
+TEST(ObsJsonTest, DeepArrayNestingIsRejected) {
+  EXPECT_FALSE(obs::ParseJson(std::string(10'000'000, '[')).ok());
+  // The cap itself still parses.
+  const std::string at_cap = std::string(obs::kMaxJsonDepth, '[') +
+                             std::string(obs::kMaxJsonDepth, ']');
+  EXPECT_TRUE(obs::ParseJson(at_cap).ok());
+  const std::string past_cap = "[" + at_cap + "]";
+  auto parsed = obs::ParseJson(past_cap);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("nesting"), std::string::npos);
+}
+
+TEST(ObsJsonTest, DeepObjectNestingIsRejected) {
+  std::string deep;
+  for (int i = 0; i < 1'000'000; ++i) deep += "{\"k\":";
+  EXPECT_FALSE(obs::ParseJson(deep).ok());
+  std::string closed;
+  for (int i = 0; i <= obs::kMaxJsonDepth; ++i) closed += "{\"k\":";
+  closed += "1" + std::string(obs::kMaxJsonDepth + 1, '}');
+  EXPECT_FALSE(obs::ParseJson(closed).ok());
+}
+
+TEST(ObsJsonTest, EveryTruncatedArtifactPrefixIsAnError) {
+  std::vector<obs::TraceEvent> events = {
+      {0, obs::EventKind::kAllGather, "blocks.0", "comm", 10.0, 35.5, 4096},
+      {1, obs::EventKind::kReduceScatter, "blocks.1", "comm", 12.0, 44.0,
+       2048},
+  };
+  std::string doc = obs::ChromeTraceJson(events);
+  while (!doc.empty() && std::isspace(static_cast<unsigned char>(doc.back()))) {
+    doc.pop_back();
+  }
+  ASSERT_TRUE(obs::ParseJson(doc).ok());
+  for (size_t n = 0; n < doc.size(); ++n) {
+    EXPECT_FALSE(obs::ParseJson(doc.substr(0, n)).ok()) << "prefix " << n;
+  }
 }
 
 // A simulated Fig-5 run exports a valid trace in which AllGather spans

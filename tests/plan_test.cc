@@ -2,18 +2,20 @@
 //
 //  1. the REAL runtime's executed instruction order (FsdpState::
 //     executed_schedule()) must equal the canonical projection of the plan
-//     the shared PlanBuilder predicts from the same options
-//     (ExpectedStepPlan()), and
+//     its hooks execute (ExpectedStepPlan()), and
 //  2. the SIMULATOR-shape plan built from the same knobs (and the real unit
 //     names) must project to the same canonical schedule, and be consumable
 //     by simfsdp::FsdpSimulator's explicit-plan constructor.
 //
 // Together these pin the real schedule and the simulated schedule to one
 // source of truth: a divergence in either layer breaks the string equality.
-// Exercised across {full shard, hybrid, no shard} x {backward prefetch
-// on/off} on a 4-rank toy transformer.
+// Exercised on the steady-state (second) step across {full shard, hybrid,
+// no shard} x {backward prefetch on/off} x {forward prefetch on/off} on a
+// 4-rank toy transformer, and on a model whose forward order differs from
+// its definition order.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -74,15 +76,16 @@ int FactorFor(ShardingStrategy s) {
   }
 }
 
-/// One training step on all ranks; returns rank 0's executed canonical
-/// schedule plus the builder plan the runtime predicts for itself.
+/// Two training steps on all ranks; returns rank 0's executed canonical
+/// schedule of the second (steady-state) step plus the plan its hooks ran.
 struct StepRecord {
   std::vector<std::string> executed;
   std::vector<plan::Instr> executed_instrs;
   plan::StepPlan expected;
 };
 
-StepRecord RunRealStep(ShardingStrategy strategy, bool backward_prefetch) {
+StepRecord RunRealStep(ShardingStrategy strategy, bool backward_prefetch,
+                       bool forward_prefetch) {
   comm::DeviceMesh mesh(kWorld, FactorFor(strategy));
   StepRecord rec;
   RunOnRanks(kWorld, [&](int r) {
@@ -91,10 +94,14 @@ StepRecord RunRealStep(ShardingStrategy strategy, bool backward_prefetch) {
     opts.strategy = strategy;
     opts.auto_wrap_policy = core::ModuleTypePolicy({"TransformerBlock"});
     opts.backward_prefetch = backward_prefetch;
+    opts.forward_prefetch = forward_prefetch;
     FullyShardedDataParallel fsdp(model, mesh, r, opts);
-    Tensor loss =
-        ops::CrossEntropy(fsdp.Forward(RankTokens(r)), RankTargets(r));
-    autograd::RunBackward(loss);
+    for (int step = 0; step < 2; ++step) {
+      fsdp.state().ClearEvents();
+      Tensor loss =
+          ops::CrossEntropy(fsdp.Forward(RankTokens(r)), RankTargets(r));
+      autograd::RunBackward(loss);
+    }
     if (r == 0) {
       rec.executed = fsdp.state().executed_schedule();
       rec.executed_instrs = fsdp.state().executed_plan();
@@ -108,23 +115,25 @@ StepRecord RunRealStep(ShardingStrategy strategy, bool backward_prefetch) {
 /// names (forward order).
 plan::StepPlan BuildSimShapePlan(const StepRecord& rec,
                                  ShardingStrategy strategy,
-                                 bool backward_prefetch) {
+                                 bool backward_prefetch,
+                                 bool forward_prefetch) {
   const int f = FactorFor(strategy);
   plan::FsdpPlanOptions o = plan::FsdpPlanOptions::Sim();
   o.reshard_after_forward = core::ReshardAfterForward(strategy);
   o.backward_prefetch = backward_prefetch;
+  o.forward_prefetch = forward_prefetch;
   o.replica_allreduce = f < kWorld;
   o.reshard = f > 1 ? plan::ReshardPolicy::kIfGradSync
                     : plan::ReshardPolicy::kKeepUnsharded;
   return plan::BuildFsdpStepPlan(rec.expected.unit_names, o);
 }
 
-class PlanDriftTest
-    : public ::testing::TestWithParam<std::tuple<ShardingStrategy, bool>> {};
+class PlanDriftTest : public ::testing::TestWithParam<
+                          std::tuple<ShardingStrategy, bool, bool>> {};
 
 TEST_P(PlanDriftTest, RealOrderMatchesBuilderAndSimulatorPlan) {
-  const auto [strategy, backward_prefetch] = GetParam();
-  StepRecord rec = RunRealStep(strategy, backward_prefetch);
+  const auto [strategy, backward_prefetch, forward_prefetch] = GetParam();
+  StepRecord rec = RunRealStep(strategy, backward_prefetch, forward_prefetch);
   ASSERT_FALSE(rec.executed.empty());
   ASSERT_EQ(rec.expected.unit_names.size(), kLayers + 1u);
 
@@ -147,7 +156,8 @@ TEST_P(PlanDriftTest, RealOrderMatchesBuilderAndSimulatorPlan) {
   // shape adds memory/gate instructions and splits the root compute, but its
   // canonical projection must be the same schedule.
   plan::StepPlan sim_plan = BuildSimShapePlan(rec, strategy,
-                                              backward_prefetch);
+                                              backward_prefetch,
+                                              forward_prefetch);
   st = validator.Check(sim_plan);
   EXPECT_TRUE(st.ok()) << "sim plan: " << st.message();
   EXPECT_EQ(rec.executed, sim_plan.Canonical());
@@ -168,6 +178,7 @@ TEST_P(PlanDriftTest, RealOrderMatchesBuilderAndSimulatorPlan) {
   cfg.sharding_factor = FactorFor(strategy);
   cfg.reshard_after_forward = core::ReshardAfterForward(strategy);
   cfg.backward_prefetch = backward_prefetch;
+  cfg.forward_prefetch = forward_prefetch;
   cfg.limit_all_gathers = 0;  // the plan carries no gate instructions
   cfg.iterations = 2;
   simfsdp::FsdpSimulator sim(w, sim::Topology{1, kWorld}, sim::SimConstants{},
@@ -183,15 +194,98 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(ShardingStrategy::kFullShard,
                                          ShardingStrategy::kHybridShard,
                                          ShardingStrategy::kNoShard),
-                       ::testing::Bool()),
+                       ::testing::Bool(), ::testing::Bool()),
     [](const auto& info) {
       std::string name =
           core::ShardingStrategyName(std::get<0>(info.param));
       for (char& c : name) {
         if (c == '_') c = 'x';
       }
-      return name + (std::get<1>(info.param) ? "Prefetch" : "NoPrefetch");
+      return name + (std::get<1>(info.param) ? "Prefetch" : "NoPrefetch") +
+             (std::get<2>(info.param) ? "FwdPrefetch" : "");
     });
+
+/// Registers a, b, c but runs them a -> c -> b: the forward execution order
+/// differs from the definition order (the shape of PyTorch's
+/// test_fsdp_param_exec_order_wrap). The root owns the input and output
+/// projections.
+struct ReorderedModel : nn::Module {
+  std::shared_ptr<nn::Linear> in, out;
+  std::shared_ptr<nn::MLP> a, b, c;
+
+  explicit ReorderedModel(uint64_t seed) {
+    nn::InitCtx ctx(Device::kCpu, seed);
+    in = std::make_shared<nn::Linear>(6, 8, true, ctx);
+    a = std::make_shared<nn::MLP>(8, 16, ctx);
+    b = std::make_shared<nn::MLP>(8, 16, ctx);
+    c = std::make_shared<nn::MLP>(8, 16, ctx);
+    out = std::make_shared<nn::Linear>(8, 4, true, ctx);
+    RegisterModule("in", in);
+    RegisterModule("a", a);
+    RegisterModule("b", b);
+    RegisterModule("c", c);
+    RegisterModule("out", out);
+  }
+  Tensor Forward(const Tensor& x) override {
+    Tensor h = (*in)(x);
+    h = ops::Add(h, (*a)(h));
+    h = ops::Add(h, (*c)(h));
+    h = ops::Add(h, (*b)(h));
+    return (*out)(h);
+  }
+  std::string TypeName() const override { return "ReorderedModel"; }
+};
+
+Tensor ReorderedInput(int rank) {
+  Rng rng(static_cast<uint64_t>(rank) + 11, 0);
+  return Tensor::Randn({3, 6}, rng);
+}
+
+TEST(PlanDriftTest, ExecutionOrderDiffersFromDefinitionOrder) {
+  // Local reference: the mean over ranks of each rank's gradient.
+  std::map<std::string, Tensor> ref;
+  {
+    ReorderedModel model(5);
+    for (int r = 0; r < kWorld; ++r) {
+      Tensor y = model.Forward(ReorderedInput(r));
+      autograd::RunBackward(
+          ops::ScalarMul(ops::Mean(ops::Mul(y, y)), 1.f / kWorld));
+    }
+    for (auto& [name, slot] : model.NamedParameters()) {
+      ref[name] = slot->grad();
+    }
+  }
+
+  for (bool forward_prefetch : {false, true}) {
+    comm::DeviceMesh mesh(kWorld, kWorld);
+    RunOnRanks(kWorld, [&](int r) {
+      auto model = std::make_shared<ReorderedModel>(5);
+      FsdpOptions opts;
+      opts.auto_wrap_policy = core::ModuleTypePolicy({"MLP"});
+      opts.forward_prefetch = forward_prefetch;
+      auto state = core::FullyShard(model, mesh, r, opts);
+      for (int step = 0; step < 2; ++step) {
+        state->ClearEvents();
+        for (Tensor& p : state->Parameters()) p.zero_grad();
+        Tensor y = (*model)(ReorderedInput(r));
+        autograd::RunBackward(ops::Mean(ops::Mul(y, y)));
+      }
+      ASSERT_TRUE(state->status().ok());
+      const plan::StepPlan expected = state->ExpectedStepPlan();
+      EXPECT_EQ(expected.unit_names,
+                (std::vector<std::string>{"[root]", "a", "c", "b"}));
+      EXPECT_EQ(state->executed_schedule(), expected.Canonical())
+          << "forward_prefetch " << forward_prefetch;
+      for (int u = 0; u < state->num_units(); ++u) {
+        for (auto& [fqn, grad] : state->unit_handle(u).GatherFullGrads()) {
+          ASSERT_TRUE(grad.defined()) << fqn;
+          EXPECT_TRUE(grad.AllClose(ref.at(fqn), 1e-4f, 1e-5f))
+              << "rank " << r << " " << fqn;
+        }
+      }
+    });
+  }
+}
 
 // ------------------------------------------------ builder-level properties
 
