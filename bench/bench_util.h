@@ -10,12 +10,11 @@
 // be tracked across commits without screen-scraping.
 #pragma once
 
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "obs/artifact.h"
@@ -51,52 +50,48 @@ inline const char* Mark(bool oom) { return oom ? "OOM" : "ok"; }
 
 inline double GiB(int64_t bytes) { return static_cast<double>(bytes) / (1ULL << 30); }
 
-/// One JSON object with insertion-ordered fields. Values are rendered
-/// eagerly, so a row is just a list of (key, token) pairs.
+/// One JSON object with insertion-ordered fields, rendered by
+/// obs::JsonWriter when the bench file is written.
 class JsonRow {
  public:
   JsonRow& Set(const std::string& key, const std::string& v) {
-    fields_.emplace_back(key, "\"" + obs::JsonEscape(v) + "\"");
+    fields_.emplace_back(key, v);
     return *this;
   }
   JsonRow& Set(const std::string& key, const char* v) {
     return Set(key, std::string(v));
   }
   JsonRow& Set(const std::string& key, double v) {
-    if (!std::isfinite(v)) {
-      fields_.emplace_back(key, "null");
-      return *this;
-    }
-    std::ostringstream oss;
-    oss.precision(12);
-    oss << v;
-    fields_.emplace_back(key, oss.str());
+    fields_.emplace_back(key, v);
     return *this;
   }
   JsonRow& Set(const std::string& key, int64_t v) {
-    fields_.emplace_back(key, std::to_string(v));
+    fields_.emplace_back(key, v);
     return *this;
   }
   JsonRow& Set(const std::string& key, int v) {
     return Set(key, static_cast<int64_t>(v));
   }
   JsonRow& Set(const std::string& key, bool v) {
-    fields_.emplace_back(key, v ? "true" : "false");
+    fields_.emplace_back(key, v);
     return *this;
   }
 
-  std::string ToJson() const {
-    std::string out = "{";
-    for (size_t i = 0; i < fields_.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += "\"" + obs::JsonEscape(fields_[i].first) +
-             "\": " + fields_[i].second;
+  void Write(obs::JsonWriter& w) const {
+    w.BeginObject();
+    for (const auto& [key, v] : fields_) {
+      w.Key(key);
+      if (const auto* s = std::get_if<std::string>(&v)) w.String(*s);
+      if (const auto* d = std::get_if<double>(&v)) w.Double(*d);
+      if (const auto* i = std::get_if<int64_t>(&v)) w.Int(*i);
+      if (const auto* b = std::get_if<bool>(&v)) w.Bool(*b);
     }
-    return out + "}";
+    w.EndObject();
   }
 
  private:
-  std::vector<std::pair<std::string, std::string>> fields_;
+  using Value = std::variant<std::string, double, int64_t, bool>;
+  std::vector<std::pair<std::string, Value>> fields_;
 };
 
 /// Writes {"bench": <name>, <artifact envelope>, "rows": [...]} to
@@ -118,13 +113,13 @@ inline std::string WriteBenchJson(const std::string& name,
     std::fprintf(stderr, "WARNING: cannot write %s\n", path.c_str());
     return std::string();
   }
-  out << "{\"bench\": \"" << obs::JsonEscape(name) << "\", "
-      << obs::ArtifactEnvelopeJson(meta) << ", \"rows\": [";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (i > 0) out << ", ";
-    out << rows[i].ToJson();
-  }
-  out << "]}\n";
+  obs::JsonWriter w;
+  w.BeginObject().Key("bench").String(name);
+  obs::WriteArtifactEnvelope(w, meta);
+  w.Key("rows").BeginArray();
+  for (const JsonRow& row : rows) row.Write(w);
+  w.EndArray().EndObject();
+  out << w.str() << "\n";
   std::printf("\nwrote %s (%zu rows)\n", path.c_str(), rows.size());
   return path;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -57,28 +56,24 @@ CommMetrics& Metrics() {
   return m;
 }
 
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out += ch;
-        }
+/// Reduces element range [off, off + n) across every rank's slot into dst:
+/// peers in rank order, quantizing each partial sum through comm_dtype.
+void ReduceSlots(const std::vector<const float*>& slots, int64_t off,
+                 int64_t n, ReduceOp op, DType comm_dtype, float* dst) {
+  const int w = static_cast<int>(slots.size());
+  for (int64_t i = 0; i < n; ++i) {
+    float acc = slots[0][off + i];
+    for (int k = 1; k < w; ++k) {
+      const float v = slots[k][off + i];
+      acc = (op == ReduceOp::kMax) ? std::max(acc, v) : acc + v;
+      if (comm_dtype != DType::kF32) acc = Quantize(acc, comm_dtype);
     }
+    if (op == ReduceOp::kAvg) {
+      acc /= static_cast<float>(w);
+      if (comm_dtype != DType::kF32) acc = Quantize(acc, comm_dtype);
+    }
+    dst[i] = acc;
   }
-  return out;
 }
 
 std::string FormatMs(double ms) {
@@ -781,47 +776,39 @@ WatchdogDiagnosis Communicator::Diagnose(
 std::string Communicator::FlightRecorderJson() const {
   const Status st = abort_status();
   const WatchdogDiagnosis diag = last_diagnosis();
-  std::ostringstream os;
+  obs::JsonWriter w;
   // Shared schema envelope (like PROFILE_/TUNE_ artifacts): every rank of
   // this communicator contributes a ring, and the dump is keyed by the
   // communicator's name as the "preset".
-  os << "{" << obs::ArtifactEnvelopeJson(obs::ArtifactMeta{size_, size_, name_})
-     << ",\"communicator\":\"" << EscapeJson(name_) << "\","
-     << "\"world_size\":" << size_ << ","
-     << "\"aborted\":" << (aborted() ? "true" : "false") << ","
-     << "\"status\":\"" << EscapeJson(st.ToString()) << "\","
-     << "\"diagnosis\":{"
-     << "\"culprit_rank\":" << diag.culprit_rank << ","
-     << "\"culprit_seq\":" << diag.culprit_seq << ","
-     << "\"stuck_op\":\"" << EscapeJson(diag.stuck_op) << "\","
-     << "\"desync\":" << (diag.desync ? "true" : "false") << ","
-     << "\"reason\":\"" << EscapeJson(diag.reason) << "\","
-     << "\"expected_next\":[";
-  for (size_t i = 0; i < diag.expected_next.size(); ++i) {
-    const auto& e = diag.expected_next[i];
-    if (i) os << ",";
-    os << "{\"rank\":" << e.rank << ",\"seq\":" << e.seq << ",\"op\":\""
-       << EscapeJson(e.op) << "\"}";
+  w.BeginObject();
+  obs::WriteArtifactEnvelope(w, obs::ArtifactMeta{size_, size_, name_});
+  w.Key("communicator").String(name_).Key("world_size").Int(size_);
+  w.Key("aborted").Bool(aborted()).Key("status").String(st.ToString());
+  w.Key("diagnosis").BeginObject();
+  w.Key("culprit_rank").Int(diag.culprit_rank);
+  w.Key("culprit_seq").Int(diag.culprit_seq);
+  w.Key("stuck_op").String(diag.stuck_op).Key("desync").Bool(diag.desync);
+  w.Key("reason").String(diag.reason).Key("expected_next").BeginArray();
+  for (const auto& e : diag.expected_next) {
+    w.BeginObject().Key("rank").Int(e.rank).Key("seq").Int(e.seq);
+    w.Key("op").String(e.op).EndObject();
   }
-  os << "]},\"ranks\":[";
+  w.EndArray().EndObject().Key("ranks").BeginArray();
   for (int r = 0; r < size_; ++r) {
-    if (r) os << ",";
-    os << "{\"rank\":" << r << ",\"records\":[";
-    const std::vector<FlightRecord> records = flight_.Records(r);
-    for (size_t i = 0; i < records.size(); ++i) {
-      const FlightRecord& rec = records[i];
-      if (i) os << ",";
-      os << "{\"seq\":" << rec.seq << ",\"op\":\""
-         << EscapeJson(rec.sig.Render()) << "\",\"bytes\":" << rec.sig.bytes
-         << ",\"root\":" << rec.sig.root << ",\"state\":\""
-         << OpStateName(rec.state) << "\",\"issue_us\":" << rec.issue_us
-         << ",\"start_us\":" << rec.start_us
-         << ",\"complete_us\":" << rec.complete_us << "}";
+    w.BeginObject().Key("rank").Int(r).Key("records").BeginArray();
+    for (const FlightRecord& rec : flight_.Records(r)) {
+      w.BeginObject().Key("seq").Int(rec.seq);
+      w.Key("op").String(rec.sig.Render()).Key("bytes").Int(rec.sig.bytes);
+      w.Key("root").Int(rec.sig.root);
+      w.Key("state").String(OpStateName(rec.state));
+      w.Key("issue_us").Double(rec.issue_us);
+      w.Key("start_us").Double(rec.start_us);
+      w.Key("complete_us").Double(rec.complete_us).EndObject();
     }
-    os << "]}";
+    w.EndArray().EndObject();
   }
-  os << "]}";
-  return os.str();
+  w.EndArray().EndObject();
+  return w.str();
 }
 
 std::string Communicator::DumpFlightRecorder(const std::string& path) {
@@ -963,23 +950,10 @@ bool ProcessGroup::RunAllGatherBase(Communicator* c, int rank, float* dst,
 bool ProcessGroup::RunReduceScatter(Communicator* c, int rank, float* dst,
                                     const float* src, int64_t numel_per_rank,
                                     ReduceOp op, DType comm_dtype) {
-  const int w = c->size_;
   c->src_slots_[rank] = src;
   if (!c->BodySync()) return false;
-  const int64_t off = static_cast<int64_t>(rank) * numel_per_rank;
-  for (int64_t i = 0; i < numel_per_rank; ++i) {
-    float acc = c->src_slots_[0][off + i];
-    for (int k = 1; k < w; ++k) {
-      const float v = c->src_slots_[k][off + i];
-      acc = (op == ReduceOp::kMax) ? std::max(acc, v) : acc + v;
-      if (comm_dtype != DType::kF32) acc = Quantize(acc, comm_dtype);
-    }
-    if (op == ReduceOp::kAvg) {
-      acc /= static_cast<float>(w);
-      if (comm_dtype != DType::kF32) acc = Quantize(acc, comm_dtype);
-    }
-    dst[i] = acc;
-  }
+  ReduceSlots(c->src_slots_, static_cast<int64_t>(rank) * numel_per_rank,
+              numel_per_rank, op, comm_dtype, dst);
   return c->BodySync();
 }
 
@@ -1001,19 +975,8 @@ bool ProcessGroup::RunAllReduce(Communicator* c, int rank, float* buf,
   const int64_t chunk = (numel + w - 1) / w;
   const int64_t lo = std::min<int64_t>(rank * chunk, numel);
   const int64_t hi = std::min<int64_t>(lo + chunk, numel);
-  for (int64_t i = lo; i < hi; ++i) {
-    float acc = c->src_slots_[0][i];
-    for (int k = 1; k < w; ++k) {
-      const float v = c->src_slots_[k][i];
-      acc = (op == ReduceOp::kMax) ? std::max(acc, v) : acc + v;
-      if (comm_dtype != DType::kF32) acc = Quantize(acc, comm_dtype);
-    }
-    if (op == ReduceOp::kAvg) {
-      acc /= static_cast<float>(w);
-      if (comm_dtype != DType::kF32) acc = Quantize(acc, comm_dtype);
-    }
-    c->scratch_[static_cast<size_t>(i)] = acc;
-  }
+  ReduceSlots(c->src_slots_, lo, hi - lo, op, comm_dtype,
+              c->scratch_.data() + lo);
   if (!c->BodySync()) return false;
   std::memcpy(buf, c->scratch_.data(), static_cast<size_t>(numel) * 4);
   return c->BodySync();

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdio>
 #include <set>
-#include <sstream>
 #include <string>
 
 #include "autograd/engine.h"
@@ -48,21 +47,18 @@ void WriteRecoveryArtifact(const DriverConfig& cfg, const PendingRecovery& p,
   meta.world_size = view.world_size;
   meta.ranks = 1;  // rank 0 writes on behalf of the world
   meta.preset = cfg.name;
-  std::ostringstream os;
-  os << "{" << obs::ArtifactEnvelopeJson(meta)
-     << ",\"generation\":" << view.generation << ",\"old_world\":"
-     << p.old_world << ",\"new_world\":" << view.world_size
-     << ",\"dead_ranks\":[";
-  for (size_t i = 0; i < p.dead.size(); ++i) {
-    os << (i ? "," : "") << p.dead[i];
-  }
-  os << "],\"ckpt_step\":" << p.ckpt_step
-     << ",\"resume_step\":" << p.resume_step
-     << ",\"first_step_after_resume\":" << first_step << ",\"reason\":\""
-     << obs::JsonEscape(p.reason) << "\",\"flight_dump\":\""
-     << obs::JsonEscape(p.flight_dump)
-     << "\",\"time_to_recover_us\":" << p.t_recover_us << "}\n";
-  const std::string s = os.str();
+  obs::JsonWriter w;
+  w.BeginObject();
+  obs::WriteArtifactEnvelope(w, meta);
+  w.Key("generation").Int(view.generation).Key("old_world").Int(p.old_world);
+  w.Key("new_world").Int(view.world_size).Key("dead_ranks").BeginArray();
+  for (int r : p.dead) w.Int(r);
+  w.EndArray().Key("ckpt_step").Int(p.ckpt_step);
+  w.Key("resume_step").Int(p.resume_step);
+  w.Key("first_step_after_resume").Int(first_step);
+  w.Key("reason").String(p.reason).Key("flight_dump").String(p.flight_dump);
+  w.Key("time_to_recover_us").Double(p.t_recover_us).EndObject();
+  const std::string s = w.str() + "\n";
   std::fwrite(s.data(), 1, s.size(), f);
   std::fclose(f);
 }

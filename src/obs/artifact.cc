@@ -4,17 +4,16 @@
 #include <filesystem>
 #include <map>
 #include <mutex>
-#include <sstream>
 
 namespace fsdp::obs {
 
-std::string ArtifactEnvelopeJson(const ArtifactMeta& meta) {
-  std::ostringstream out;
-  out << "\"schema_version\": " << kArtifactSchemaVersion
-      << ", \"meta\": {\"world_size\": " << meta.world_size
-      << ", \"ranks\": " << meta.ranks << ", \"preset\": \""
-      << JsonEscape(meta.preset) << "\"}";
-  return out.str();
+void WriteArtifactEnvelope(JsonWriter& w, const ArtifactMeta& meta) {
+  w.Key("schema_version").Int(kArtifactSchemaVersion);
+  w.Key("meta").BeginObject();
+  w.Key("world_size").Int(meta.world_size);
+  w.Key("ranks").Int(meta.ranks);
+  w.Key("preset").String(meta.preset);
+  w.EndObject();
 }
 
 Status ValidateArtifactJson(const JsonValue& doc) {

@@ -1,6 +1,7 @@
-// Generated-artifact conventions shared by every JSON writer in the repo
-// (BENCH_*.json from the fig benches, PROFILE_*.json from the profiler,
-// FLIGHT_*.json from the flight recorder, exported Chrome traces).
+// Generated-artifact conventions shared by every run artifact (BENCH_*.json
+// from the fig benches, PROFILE_*.json from the profiler, TUNE_*.json from
+// the autotuner, FLIGHT_*.json from the flight recorder, RECOVERY_*.json
+// from the elastic driver), all rendered by obs::JsonWriter.
 //
 // Three concerns live here:
 //
@@ -36,9 +37,9 @@ struct ArtifactMeta {
   std::string preset = "default";  // bench/test configuration name
 };
 
-/// Renders the envelope fields (no surrounding braces):
+/// Writes the envelope members into the object `w` has open:
 ///   "schema_version": 1, "meta": {"world_size": W, "ranks": R, "preset": P}
-std::string ArtifactEnvelopeJson(const ArtifactMeta& meta);
+void WriteArtifactEnvelope(JsonWriter& w, const ArtifactMeta& meta);
 
 /// Validates the shared envelope on a parsed artifact: a top-level
 /// "schema_version" in [1, kArtifactSchemaVersion] and a "meta" object

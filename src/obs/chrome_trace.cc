@@ -2,21 +2,10 @@
 
 #include <fstream>
 #include <map>
-#include <sstream>
 
 #include "obs/json.h"
 
 namespace fsdp::obs {
-
-namespace {
-
-void AppendTs(std::ostringstream& out, double us) {
-  out.precision(3);
-  out << std::fixed << us;
-  out.unsetf(std::ios_base::floatfield);
-}
-
-}  // namespace
 
 std::string ChromeTraceJson(const std::vector<TraceEvent>& events) {
   return ChromeTraceJson(events, {});
@@ -35,52 +24,46 @@ std::string ChromeTraceJson(const std::vector<TraceEvent>& events,
     }
   }
 
-  std::ostringstream out;
-  out << "{\"traceEvents\": [";
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject().Key("traceEvents").BeginArray();
   // Metadata: process names (one pid per rank) and thread (lane) names.
   std::map<int, bool> named_pids;
   for (const auto& [key, tid] : lane_tids) {
     const auto& [rank, lane] = key;
     if (!named_pids.count(rank)) {
       named_pids[rank] = true;
-      out << (first ? "" : ", ")
-          << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " << rank
-          << ", \"tid\": 0, \"args\": {\"name\": \"rank " << rank << "\"}}";
-      first = false;
+      w.BeginObject().Key("name").String("process_name");
+      w.Key("ph").String("M").Key("pid").Int(rank).Key("tid").Int(0);
+      w.Key("args").BeginObject();
+      w.Key("name").String("rank " + std::to_string(rank));
+      w.EndObject().EndObject();
     }
-    out << (first ? "" : ", ")
-        << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": " << rank
-        << ", \"tid\": " << tid << ", \"args\": {\"name\": \""
-        << JsonEscape(lane.empty() ? "runtime" : lane) << "\"}}";
-    first = false;
+    w.BeginObject().Key("name").String("thread_name");
+    w.Key("ph").String("M").Key("pid").Int(rank).Key("tid").Int(tid);
+    w.Key("args").BeginObject();
+    w.Key("name").String(lane.empty() ? "runtime" : lane);
+    w.EndObject().EndObject();
   }
   for (const TraceEvent& e : events) {
     const int tid = lane_tids.at(std::make_pair(e.rank, e.lane));
-    out << (first ? "" : ", ") << "{\"name\": \""
-        << JsonEscape(RenderEvent(e)) << "\", \"cat\": \""
-        << EventKindName(e.kind) << "\", \"ph\": \"X\", \"ts\": ";
-    AppendTs(out, e.t_begin_us);
-    out << ", \"dur\": ";
-    AppendTs(out, e.duration_us());
-    out << ", \"pid\": " << e.rank << ", \"tid\": " << tid
-        << ", \"args\": {\"bytes\": " << e.bytes << "}}";
-    first = false;
+    w.BeginObject().Key("name").String(RenderEvent(e));
+    w.Key("cat").String(EventKindName(e.kind)).Key("ph").String("X");
+    w.Key("ts").Double(e.t_begin_us).Key("dur").Double(e.duration_us());
+    w.Key("pid").Int(e.rank).Key("tid").Int(tid);
+    w.Key("args").BeginObject().Key("bytes").Int(e.bytes).EndObject();
+    w.EndObject();
   }
   for (const CounterTrack& track : counters) {
     for (const CounterSample& s : track.samples) {
-      out << (first ? "" : ", ") << "{\"name\": \""
-          << JsonEscape(track.name) << "\", \"ph\": \"C\", \"ts\": ";
-      AppendTs(out, s.t_us);
-      out << ", \"pid\": " << track.rank << ", \"tid\": 0, \"args\": {\""
-          << JsonEscape(track.name) << "\": ";
-      AppendTs(out, s.value);
-      out << "}}";
-      first = false;
+      w.BeginObject().Key("name").String(track.name);
+      w.Key("ph").String("C").Key("ts").Double(s.t_us);
+      w.Key("pid").Int(track.rank).Key("tid").Int(0);
+      w.Key("args").BeginObject().Key(track.name).Double(s.value).EndObject();
+      w.EndObject();
     }
   }
-  out << "], \"displayTimeUnit\": \"ms\"}";
-  return out.str();
+  w.EndArray().Key("displayTimeUnit").String("ms").EndObject();
+  return w.str();
 }
 
 Status WriteChromeTrace(const std::string& path,

@@ -1,6 +1,8 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -225,7 +227,7 @@ Result<JsonValue> ParseJsonFile(const std::string& path) {
   return ParseJson(buf.str());
 }
 
-std::string JsonEscape(const std::string& s) {
+std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
   for (char c : s) {
@@ -246,6 +248,89 @@ std::string JsonEscape(const std::string& s) {
     }
   }
   return out;
+}
+
+void JsonWriter::BeforeValue() {
+  if (open_.empty()) {
+    FSDP_CHECK_MSG(out_.empty(), "JsonWriter: second top-level value");
+    return;
+  }
+  Level& top = open_.back();
+  if (top.object) {
+    FSDP_CHECK_MSG(have_key_, "JsonWriter: object member without a Key");
+    have_key_ = false;
+    return;
+  }
+  if (!top.empty) out_ += ", ";
+  top.empty = false;
+}
+
+JsonWriter& JsonWriter::Open(bool object, char brace) {
+  BeforeValue();
+  out_ += brace;
+  open_.push_back(Level{object});
+  return *this;
+}
+
+JsonWriter& JsonWriter::Close(bool object, char brace) {
+  FSDP_CHECK_MSG(!open_.empty() && open_.back().object == object && !have_key_,
+                 "JsonWriter: unbalanced '" << brace << "'");
+  open_.pop_back();
+  out_ += brace;
+  return *this;
+}
+
+JsonWriter& JsonWriter::BeginObject() { return Open(true, '{'); }
+JsonWriter& JsonWriter::EndObject() { return Close(true, '}'); }
+JsonWriter& JsonWriter::BeginArray() { return Open(false, '['); }
+JsonWriter& JsonWriter::EndArray() { return Close(false, ']'); }
+
+JsonWriter& JsonWriter::Key(std::string_view key) {
+  FSDP_CHECK_MSG(!open_.empty() && open_.back().object && !have_key_,
+                 "JsonWriter: misplaced Key '" << key << "'");
+  Level& top = open_.back();
+  if (!top.empty) out_ += ", ";
+  top.empty = false;
+  out_ += '"';
+  out_ += JsonEscape(key);
+  out_ += "\": ";
+  have_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::String(std::string_view v) {
+  BeforeValue();
+  out_ += '"';
+  out_ += JsonEscape(v);
+  out_ += '"';
+  return *this;
+}
+
+JsonWriter& JsonWriter::Int(int64_t v) {
+  BeforeValue();
+  out_ += std::to_string(v);
+  return *this;
+}
+
+JsonWriter& JsonWriter::Double(double v) {
+  if (!std::isfinite(v)) return Null();
+  BeforeValue();
+  char buf[32];  // shortest round-trip double needs at most 24 chars
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out_.append(buf, r.ptr);
+  return *this;
+}
+
+JsonWriter& JsonWriter::Bool(bool v) {
+  BeforeValue();
+  out_ += v ? "true" : "false";
+  return *this;
+}
+
+JsonWriter& JsonWriter::Null() {
+  BeforeValue();
+  out_ += "null";
+  return *this;
 }
 
 }  // namespace fsdp::obs

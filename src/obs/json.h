@@ -1,15 +1,20 @@
-// Minimal JSON value + recursive-descent parser.
+// Minimal JSON value + recursive-descent parser, and the one JSON writer.
 //
-// Exists so the observability outputs (Chrome traces, metrics snapshots,
-// BENCH_*.json rows) can be *validated* inside this repo — tests and the
-// trace-export smoke binary parse what the writers produced, making
-// malformed JSON a build failure rather than a silent artifact. Supports
-// the full JSON grammar minus \uXXXX escapes beyond ASCII passthrough.
+// JsonWriter renders every run artifact (BENCH, PROFILE, TUNE, FLIGHT,
+// RECOVERY, Chrome traces, metrics snapshots): it is the only code that
+// quotes strings or formats numbers, and it writes doubles in the shortest
+// form that parses back to the same bits. The parser exists so those
+// outputs can be *validated* inside this repo — tests and the trace-export
+// smoke binary parse what the writers produced, making malformed JSON a
+// build failure rather than a silent artifact. Supports the full JSON
+// grammar minus \uXXXX escapes beyond ASCII passthrough.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -80,6 +85,49 @@ Result<JsonValue> ParseJson(const std::string& text);
 Result<JsonValue> ParseJsonFile(const std::string& path);
 
 /// Escapes a string for embedding in JSON output.
-std::string JsonEscape(const std::string& s);
+std::string JsonEscape(std::string_view s);
+
+/// Streaming writer for one JSON document. Members and elements are
+/// separated by ", " and keys by ": ", so a document reads on one line.
+/// Strings go through JsonEscape; integers print exactly; doubles print as
+/// the shortest decimal that parses back bit-equal (std::to_chars), and
+/// NaN/±inf, which JSON cannot spell, print as null. Misuse — a value in an
+/// object without a Key, an unbalanced End — aborts.
+///
+///   JsonWriter w;
+///   w.BeginObject().Key("step_us").Double(t).Key("ranks").Int(4);
+///   w.EndObject();
+///   file << w.str();
+class JsonWriter {
+ public:
+  JsonWriter& BeginObject();
+  JsonWriter& EndObject();
+  JsonWriter& BeginArray();
+  JsonWriter& EndArray();
+  /// Names the next value; valid only directly inside an object.
+  JsonWriter& Key(std::string_view key);
+  JsonWriter& String(std::string_view v);
+  JsonWriter& Int(int64_t v);
+  JsonWriter& Double(double v);
+  JsonWriter& Bool(bool v);
+  JsonWriter& Null();
+
+  /// The document so far; complete once every Begin has its End.
+  const std::string& str() const { return out_; }
+
+ private:
+  struct Level {
+    bool object = false;
+    bool empty = true;
+  };
+  /// Emits the separator a new value or key needs at the current level.
+  void BeforeValue();
+  JsonWriter& Open(bool object, char brace);
+  JsonWriter& Close(bool object, char brace);
+
+  std::string out_;
+  std::vector<Level> open_;
+  bool have_key_ = false;  // Key written, its value not yet
+};
 
 }  // namespace fsdp::obs

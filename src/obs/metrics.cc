@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/status.h"
+#include "obs/json.h"
 
 namespace fsdp::obs {
 
@@ -90,50 +90,25 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
   return GetOrCreate(histograms_, name);
 }
 
-namespace {
-void AppendJsonNumber(std::ostringstream& out, double v) {
-  if (v == static_cast<double>(static_cast<int64_t>(v)) &&
-      std::abs(v) < 9.0e15) {
-    out << static_cast<int64_t>(v);
-  } else {
-    out.precision(17);
-    out << v;
-  }
-}
-}  // namespace
-
 std::string MetricsRegistry::SnapshotJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream out;
-  out << "{\"counters\": {";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    out << (first ? "" : ", ") << "\"" << name << "\": " << c->value();
-    first = false;
-  }
-  out << "}, \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    out << (first ? "" : ", ") << "\"" << name << "\": " << g->value();
-    first = false;
-  }
-  out << "}, \"histograms\": {";
-  first = true;
+  JsonWriter w;
+  w.BeginObject().Key("counters").BeginObject();
+  for (const auto& [name, c] : counters_) w.Key(name).Int(c->value());
+  w.EndObject().Key("gauges").BeginObject();
+  for (const auto& [name, g] : gauges_) w.Key(name).Int(g->value());
+  w.EndObject().Key("histograms").BeginObject();
   for (const auto& [name, h] : histograms_) {
-    out << (first ? "" : ", ") << "\"" << name << "\": {\"count\": "
-        << h->count() << ", \"sum\": ";
-    AppendJsonNumber(out, h->sum());
-    out << ", \"max\": ";
-    AppendJsonNumber(out, h->max());
-    out << ", \"p50\": ";
-    AppendJsonNumber(out, h->Percentile(50));
-    out << ", \"p95\": ";
-    AppendJsonNumber(out, h->Percentile(95));
-    out << "}";
-    first = false;
+    w.Key(name).BeginObject();
+    w.Key("count").Int(h->count());
+    w.Key("sum").Double(h->sum());
+    w.Key("max").Double(h->max());
+    w.Key("p50").Double(h->Percentile(50));
+    w.Key("p95").Double(h->Percentile(95));
+    w.EndObject();
   }
-  out << "}}";
-  return out.str();
+  w.EndObject().EndObject();
+  return w.str();
 }
 
 void MetricsRegistry::ResetAll() {

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "obs/metrics.h"
 
@@ -315,12 +314,6 @@ double Pct(const std::vector<double>& sorted, double p) {
   return sorted[idx];
 }
 
-void AppendNum(std::ostringstream& out, double v) {
-  out.precision(3);
-  out << std::fixed << v;
-  out.unsetf(std::ios_base::floatfield);
-}
-
 /// One log entry as a profile row: times and bytes straight from the log.
 InstrProfile FromEntry(const plan::ExecEntry& e,
                        const std::vector<std::string>& names) {
@@ -480,98 +473,65 @@ Result<std::string> WriteProfileJson(const std::string& name,
                                      const std::vector<StepProfile>& steps,
                                      const ArtifactMeta& meta) {
   const ProfileAggregate agg = AggregateProfiles(steps);
-  std::ostringstream out;
-  out << "{\"profile\": \"" << JsonEscape(name) << "\", "
-      << ArtifactEnvelopeJson(meta) << ", \"aggregate\": {\"steps\": "
-      << agg.steps << ", \"complete_steps\": " << agg.complete_steps
-      << ", \"step_p50_us\": ";
-  AppendNum(out, agg.step_p50_us);
-  out << ", \"step_p95_us\": ";
-  AppendNum(out, agg.step_p95_us);
-  out << ", \"critical_path_p50_us\": ";
-  AppendNum(out, agg.critical_path_p50_us);
-  out << ", \"overlap_efficiency_mean\": ";
-  AppendNum(out, agg.overlap_efficiency_mean);
-  out << ", \"instrs\": [";
-  for (size_t i = 0; i < agg.instrs.size(); ++i) {
-    const InstrStats& s = agg.instrs[i];
-    out << (i ? ", " : "") << "{\"label\": \"" << JsonEscape(s.label)
-        << "\", \"count\": " << s.count << ", \"mean_us\": ";
-    AppendNum(out, s.mean_us);
-    out << ", \"p50_us\": ";
-    AppendNum(out, s.p50_us);
-    out << ", \"p95_us\": ";
-    AppendNum(out, s.p95_us);
-    out << ", \"max_us\": ";
-    AppendNum(out, s.max_us);
-    out << ", \"total_us\": ";
-    AppendNum(out, s.total_us);
-    out << ", \"queue_p50_us\": ";
-    AppendNum(out, s.queue_p50_us);
-    out << ", \"exposed_p50_us\": ";
-    AppendNum(out, s.exposed_p50_us);
-    out << ", \"critical_hits\": " << s.critical_hits << "}";
+  JsonWriter w;
+  w.BeginObject().Key("profile").String(name);
+  WriteArtifactEnvelope(w, meta);
+  w.Key("aggregate").BeginObject();
+  w.Key("steps").Int(agg.steps).Key("complete_steps").Int(agg.complete_steps);
+  w.Key("step_p50_us").Double(agg.step_p50_us);
+  w.Key("step_p95_us").Double(agg.step_p95_us);
+  w.Key("critical_path_p50_us").Double(agg.critical_path_p50_us);
+  w.Key("overlap_efficiency_mean").Double(agg.overlap_efficiency_mean);
+  w.Key("instrs").BeginArray();
+  for (const InstrStats& s : agg.instrs) {
+    w.BeginObject().Key("label").String(s.label).Key("count").Int(s.count);
+    w.Key("mean_us").Double(s.mean_us).Key("p50_us").Double(s.p50_us);
+    w.Key("p95_us").Double(s.p95_us).Key("max_us").Double(s.max_us);
+    w.Key("total_us").Double(s.total_us);
+    w.Key("queue_p50_us").Double(s.queue_p50_us);
+    w.Key("exposed_p50_us").Double(s.exposed_p50_us);
+    w.Key("critical_hits").Int(s.critical_hits);
+    w.EndObject();
   }
-  out << "]}, \"steps\": [";
-  for (size_t si = 0; si < steps.size(); ++si) {
-    const StepProfile& step = steps[si];
-    out << (si ? ", " : "") << "{\"complete\": "
-        << (step.complete ? "true" : "false") << ", \"incomplete_reason\": \""
-        << JsonEscape(step.incomplete_reason) << "\", \"step_us\": ";
-    AppendNum(out, step.step_us);
-    out << ", \"overlap_efficiency\": ";
-    AppendNum(out, step.overlap_efficiency);
-    out << ", \"exposed_comm_us\": ";
-    AppendNum(out, step.exposed_comm_us);
-    out << ", \"critical_path_us\": ";
-    AppendNum(out, step.critical_path_us);
-    out << ", \"critical_path\": [";
-    for (size_t k = 0; k < step.critical_path.size(); ++k) {
-      out << (k ? ", " : "") << "\""
-          << JsonEscape(step.instrs[step.critical_path[k]].label) << "\"";
+  w.EndArray().EndObject().Key("steps").BeginArray();
+  for (const StepProfile& step : steps) {
+    w.BeginObject().Key("complete").Bool(step.complete);
+    w.Key("incomplete_reason").String(step.incomplete_reason);
+    w.Key("step_us").Double(step.step_us);
+    w.Key("overlap_efficiency").Double(step.overlap_efficiency);
+    w.Key("exposed_comm_us").Double(step.exposed_comm_us);
+    w.Key("critical_path_us").Double(step.critical_path_us);
+    w.Key("critical_path").BeginArray();
+    for (int k : step.critical_path) w.String(step.instrs[k].label);
+    w.EndArray().Key("peak_unsharded_bytes").Int(step.peak_unsharded_bytes);
+    w.Key("peak_units").BeginArray();
+    for (const std::string& unit : step.peak_units) w.String(unit);
+    w.EndArray().Key("lanes").BeginArray();
+    for (const LaneUsage& lane : step.lanes) {
+      w.BeginObject().Key("lane").String(lane.lane);
+      w.Key("busy_us").Double(lane.busy_us);
+      w.Key("utilization").Double(lane.utilization).EndObject();
     }
-    out << "], \"peak_unsharded_bytes\": " << step.peak_unsharded_bytes
-        << ", \"peak_units\": [";
-    for (size_t k = 0; k < step.peak_units.size(); ++k) {
-      out << (k ? ", " : "") << "\"" << JsonEscape(step.peak_units[k]) << "\"";
+    w.EndArray().Key("instrs").BeginArray();
+    for (const InstrProfile& p : step.instrs) {
+      w.BeginObject().Key("label").String(p.label);
+      w.Key("matched").Bool(p.matched);
+      w.Key("t_begin_us").Double(p.t_begin_us);
+      w.Key("t_end_us").Double(p.t_end_us);
+      w.Key("queue_us").Double(p.queue_us);
+      w.Key("service_us").Double(p.service_us);
+      w.Key("exposed_us").Double(p.exposed_us);
+      w.Key("bytes").Int(p.bytes).Key("resident_bytes").Int(p.resident_bytes);
+      w.Key("critical").Bool(p.on_critical_path).EndObject();
     }
-    out << "], \"lanes\": [";
-    for (size_t k = 0; k < step.lanes.size(); ++k) {
-      out << (k ? ", " : "") << "{\"lane\": \""
-          << JsonEscape(step.lanes[k].lane) << "\", \"busy_us\": ";
-      AppendNum(out, step.lanes[k].busy_us);
-      out << ", \"utilization\": ";
-      AppendNum(out, step.lanes[k].utilization);
-      out << "}";
-    }
-    out << "], \"instrs\": [";
-    for (size_t k = 0; k < step.instrs.size(); ++k) {
-      const InstrProfile& p = step.instrs[k];
-      out << (k ? ", " : "") << "{\"label\": \"" << JsonEscape(p.label)
-          << "\", \"matched\": " << (p.matched ? "true" : "false")
-          << ", \"t_begin_us\": ";
-      AppendNum(out, p.t_begin_us);
-      out << ", \"t_end_us\": ";
-      AppendNum(out, p.t_end_us);
-      out << ", \"queue_us\": ";
-      AppendNum(out, p.queue_us);
-      out << ", \"service_us\": ";
-      AppendNum(out, p.service_us);
-      out << ", \"exposed_us\": ";
-      AppendNum(out, p.exposed_us);
-      out << ", \"bytes\": " << p.bytes
-          << ", \"resident_bytes\": " << p.resident_bytes
-          << ", \"critical\": " << (p.on_critical_path ? "true" : "false")
-          << "}";
-    }
-    out << "]}";
+    w.EndArray().EndObject();
   }
-  out << "]}";
+  w.EndArray().EndObject();
 
   const std::string path = ArtifactPath("PROFILE_" + name + ".json");
   std::ofstream file(path);
   if (!file) return Status::IOError("cannot open " + path + " for writing");
-  file << out.str() << "\n";
+  file << w.str() << "\n";
   if (!file) return Status::IOError("write failed for " + path);
   return path;
 }

@@ -177,12 +177,10 @@ Status PlanValidator::Check(const StepPlan& plan) const {
 
   for (int i = 0; i < n; ++i) {
     const Instr& in = plan.instrs[static_cast<size_t>(i)];
-    if (check_deps) {
-      for (int d : in.deps) {
-        if (d < 0 || d >= i) {
-          return fail(i, "dep " + std::to_string(d) +
-                             " does not point strictly earlier (cycle)");
-        }
+    for (int d : in.deps) {
+      if (d < 0 || d >= i) {
+        return fail(i, "dep " + std::to_string(d) +
+                           " does not point strictly earlier (cycle)");
       }
     }
     if (after_optim) return fail(i, "instruction after kOptimStep");
@@ -243,20 +241,18 @@ Status PlanValidator::Check(const StepPlan& plan) const {
         break;
       }
       case Op::kReduceGrad:
-        if (check_reductions) {
-          for (int u : CoveredUnits(in)) {
-            // Reduce-only logs (DDP's executed plan records buckets, not
-            // computes) can't anchor reductions to a backward — skip.
-            if (has_compute &&
-                last_bwd_mb[static_cast<size_t>(u)] != in.microbatch) {
-              return fail(i, "reduction of unit " + std::to_string(u) +
-                                 " without a backward compute this "
-                                 "microbatch");
-            }
-            if (!reduced_units[in.microbatch].insert(u).second) {
-              return fail(i, "duplicate reduction of unit " +
-                                 std::to_string(u) + " this microbatch");
-            }
+        for (int u : CoveredUnits(in)) {
+          // Reduce-only logs (DDP's executed plan records buckets, not
+          // computes) can't anchor reductions to a backward — skip.
+          if (has_compute &&
+              last_bwd_mb[static_cast<size_t>(u)] != in.microbatch) {
+            return fail(i, "reduction of unit " + std::to_string(u) +
+                               " without a backward compute this "
+                               "microbatch");
+          }
+          if (!reduced_units[in.microbatch].insert(u).second) {
+            return fail(i, "duplicate reduction of unit " +
+                               std::to_string(u) + " this microbatch");
           }
         }
         break;
@@ -334,7 +330,7 @@ Status PlanValidator::Check(const StepPlan& plan) const {
   // backward ran in it — a dropped reduction is the classic silent-wrong
   // rewrite. DDP bucket plans (no unshards) key reductions by bucket
   // boundary, not per unit; the per-unit coverage contract does not apply.
-  if (check_reductions && has_unshard) {
+  if (has_unshard) {
     for (const auto& [mb, red] : reduced_units) {
       for (int u : bwd_units[mb]) {
         if (red.count(u) == 0) {
@@ -673,9 +669,11 @@ const char* BufKindName(BufKind kind) {
 
 namespace {
 
-int64_t RoundUp(int64_t bytes, int64_t round) {
-  if (round <= 1) return bytes;
-  return (bytes + round - 1) / round * round;
+/// Arena offset/size alignment.
+constexpr int64_t kArenaAlignBytes = 512;
+
+int64_t RoundUp(int64_t bytes) {
+  return (bytes + kArenaAlignBytes - 1) / kArenaAlignBytes * kArenaAlignBytes;
 }
 
 int64_t UnitBytesOrZero(const std::vector<int64_t>& table, int unit) {
@@ -702,7 +700,7 @@ ArenaPlan BuildArenaPlan(const StepPlan& plan,
     ArenaAssignment a;
     a.kind = kind;
     a.unit = unit;
-    a.bytes = RoundUp(bytes, options.round_bytes);
+    a.bytes = RoundUp(bytes);
     a.open_at = at;
     a.close_at = n;  // until closed (or steady-state resident)
     ivals.push_back(a);
@@ -784,7 +782,7 @@ ArenaPlan BuildArenaPlan(const StepPlan& plan,
 
   // ---- first-fit interval packing above the persistent base region ----
   ArenaPlan out;
-  out.persistent_bytes = RoundUp(options.persistent_bytes, options.round_bytes);
+  out.persistent_bytes = RoundUp(options.persistent_bytes);
   out.total_bytes = out.persistent_bytes;
   struct Active {
     int64_t offset = 0, bytes = 0;

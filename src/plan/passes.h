@@ -61,9 +61,6 @@ namespace fsdp::plan {
 /// Unit-gather checks apply only to units the plan ever unshards — executed
 /// DDP plans (bucketed AllReduce, no unshards) validate cleanly.
 struct PlanValidator {
-  bool check_deps = true;
-  bool check_reductions = true;
-
   Status Check(const StepPlan& plan) const;
 };
 
@@ -182,7 +179,6 @@ struct MemoryPlanOptions {
   std::vector<int64_t> recompute_bytes;  // transient backward rematerialized
   int64_t head_bytes = 0;                // root head / logits scratch
   int64_t persistent_bytes = 0;          // always-live base region
-  int64_t round_bytes = 512;             // offset/size alignment
 };
 
 /// Walks the plan once, mirroring the simulator's allocation guards (a

@@ -50,12 +50,6 @@ bool FitThroughOrigin(const std::vector<Sample>& samples, double* slope) {
   return true;
 }
 
-double PeakTflops(const SimConstants& c, DType dtype) {
-  if (dtype == DType::kBF16) return c.peak_bf16_tflops;
-  if (dtype == DType::kF16) return c.peak_fp16_tflops;
-  return c.peak_fp32_tflops;
-}
-
 /// Moved-bytes-per-rank of the model's ring formulas (topology.cc).
 double MovedBytes(obs::EventKind kind, int64_t total_bytes, const Group& g) {
   const int64_t chunk = total_bytes / std::max(g.size, 1);
@@ -265,7 +259,7 @@ CalibrationReport CalibrateFromProfile(
   if (FitLine(compute, &slope, &intercept) ||
       (intercept = 0, FitThroughOrigin(compute, &slope))) {
     const double flops_per_us = 1.0 / slope;
-    const double peak = PeakTflops(base, opts.compute_dtype);
+    const double peak = base.PeakTflops(opts.compute_dtype);
     fitted.matmul_efficiency =
         std::max(1e-9, flops_per_us * 1e6 / (peak * 1e12));
     fitted.kernel_launch_gpu_us = intercept;

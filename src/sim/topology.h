@@ -64,6 +64,17 @@ struct SimConstants {
   /// CUDA context + NCCL channel buffers + cuDNN workspaces resident on
   /// every GPU regardless of the model.
   int64_t framework_overhead_bytes = 13LL << 30;
+
+  /// Peak matmul rate for `dtype`; f32 runs the TF32 tensor-core path.
+  double PeakTflops(DType dtype) const {
+    if (dtype == DType::kBF16) return peak_bf16_tflops;
+    if (dtype == DType::kF16) return peak_fp16_tflops;
+    return peak_fp32_tflops;
+  }
+  /// Attainable matmul rate for `dtype` in FLOP/us.
+  double FlopsPerUs(DType dtype) const {
+    return PeakTflops(dtype) * 1e12 * matmul_efficiency / 1e6;
+  }
 };
 
 struct Topology {

@@ -20,13 +20,6 @@ constexpr int kCommStream = 2;
 // A100 HBM bandwidth for memory-bound phases (optimizer step).
 constexpr double kHbmBytesPerUs = 1555.0 * 1e9 / 1e6;
 
-double FlopsPerUs(const sim::SimConstants& c, DType dtype) {
-  double peak = c.peak_fp32_tflops;
-  if (dtype == DType::kBF16) peak = c.peak_bf16_tflops;
-  if (dtype == DType::kF16) peak = c.peak_fp16_tflops;
-  return peak * 1e12 * c.matmul_efficiency / 1e6;
-}
-
 // Per-unit cost/state table — the *cost* side of the simulation. The
 // *schedule* side (instruction order and dependencies) comes from the
 // interpreted plan::StepPlan.
@@ -286,7 +279,7 @@ SimMetrics FsdpSimulator::Run() {
 
   // ---- build unit table: index 0 is the root unit ----
   std::vector<UnitSim> units(w_.units.size() + 1);
-  const double flops_rate = FlopsPerUs(c_, cfg_.param_dtype);
+  const double flops_rate = c_.FlopsPerUs(cfg_.param_dtype);
   const std::vector<UnitSizes> sizes = UnitSizeTable(w_, f, cfg_);
   auto fill = [&](UnitSim& u, const UnitSizes& s, double fwd_flops,
                   int n_kernels) {
@@ -805,7 +798,7 @@ SimMetrics DdpSimulator::Run() {
 
   const int64_t esize = SizeOf(cfg_.dtype);
   const int batch = cfg_.batch_per_gpu;
-  const double flops_rate = FlopsPerUs(c_, cfg_.dtype);
+  const double flops_rate = c_.FlopsPerUs(cfg_.dtype);
   const int64_t total_params = w_.total_params();
 
   // Full replica: params + grads + two Adam states, all resident (the DDP

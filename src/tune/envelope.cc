@@ -14,13 +14,6 @@ namespace {
 // launch overhead).
 constexpr double kHbmBytesPerUs = 1555.0 * 1e9 / 1e6;
 
-double FlopsPerUs(const sim::SimConstants& c, DType dtype) {
-  double peak = c.peak_fp32_tflops;
-  if (dtype == DType::kBF16) peak = c.peak_bf16_tflops;
-  if (dtype == DType::kF16) peak = c.peak_fp16_tflops;
-  return peak * 1e12 * c.matmul_efficiency / 1e6;
-}
-
 /// Raw link bandwidth in bytes/us for a group — the ceiling of
 /// CollectiveModel::EffectiveBwBytesPerUs (saturation and straggler terms
 /// only derate it), which is what makes moved/raw a true lower bound.
@@ -54,7 +47,7 @@ Envelope ComputeEnvelope(const CompiledCandidate& cc, const TuneInputs& in) {
   const double repl_bw = RawBwBytesPerUs(c, repl_g);
   const double world_bw = RawBwBytesPerUs(c, world_g);
   const double pcie_bw = c.pcie_gbps * 1e3;
-  const double flops_rate = FlopsPerUs(c, cc.config.param_dtype);
+  const double flops_rate = c.FlopsPerUs(cc.config.param_dtype);
   const int batch = cc.config.batch_per_gpu;
   const double recompute = cc.config.activation_checkpointing ? 1.0 : 0.0;
   const simfsdp::Workload& w = cc.workload;

@@ -20,6 +20,19 @@ namespace {
 /// criterion, ending at the candidate Key — full determinism.
 constexpr double kEps = 1e-6;
 
+/// Simulator iterations in the successive-halving rung (short, ranking-only
+/// sims); finalists re-run at the full TuneInputs::base.iterations depth.
+constexpr int kRungIters = 1;
+/// Fraction of the pool the rung keeps (at least 1 survives).
+constexpr double kKeepFrac = 0.5;
+/// Cap on the lb-sorted pool entering the rung; candidates beyond it are
+/// skipped (counted, reachable again through mutation around the winner).
+constexpr size_t kMaxPool = 64;
+/// Hill-climbing rounds around the incumbent after the grid stage.
+constexpr int kMutationRounds = 2;
+/// Neighbors scored per mutation round (Rng-sampled when more exist).
+constexpr size_t kMaxNeighbors = 12;
+
 struct Score {
   bool valid = false;
   bool oom = true;
@@ -196,41 +209,41 @@ TuneReport Autotune(const TuneInputs& in0, const SearchSpace& space,
                      }
                      return a.cc.cand.Key() < b.cc.cand.Key();
                    });
-  if (opt.max_pool > 0 && pool.size() > static_cast<size_t>(opt.max_pool)) {
-    for (size_t i = static_cast<size_t>(opt.max_pool); i < pool.size(); ++i) {
+  if (pool.size() > kMaxPool) {
+    for (size_t i = kMaxPool; i < pool.size(); ++i) {
       outcomes[pool[i].out_idx].pruned = "pool";
       seen.erase(pool[i].cc.cand.Key());  // mutation may revisit
     }
-    pool.resize(static_cast<size_t>(opt.max_pool));
+    pool.resize(kMaxPool);
   }
 
-  // Successive halving: short ranking sims, keep_frac survivors per rung.
+  // Successive halving: one rung of short ranking sims keeps kKeepFrac.
   bool out_of_time = false;
-  for (int iters : opt.halving_iters) {
-    if (pool.size() <= 1 || out_of_time) break;
+  if (pool.size() > 1) {
     for (PoolEntry& e : pool) {
       if (budget_gone()) {
         out_of_time = true;
         break;
       }
-      const simfsdp::SimMetrics m = simulate(e.cc, iters);
+      const simfsdp::SimMetrics m = simulate(e.cc, kRungIters);
       e.rung = ToScore(e.cc.cand, m);
       CandidateOutcome& out = outcomes[e.out_idx];
       out.simulated = true;
-      out.sim_iterations = iters;
+      out.sim_iterations = kRungIters;
       out.metrics = m;
     }
-    if (out_of_time) break;
-    std::stable_sort(pool.begin(), pool.end(),
-                     [](const PoolEntry& a, const PoolEntry& b) {
-                       return Better(a.rung, b.rung);
-                     });
-    const size_t keep = std::max<size_t>(
-        1, static_cast<size_t>(std::ceil(pool.size() * opt.keep_frac)));
-    for (size_t i = keep; i < pool.size(); ++i) {
-      outcomes[pool[i].out_idx].pruned = "halving";
+    if (!out_of_time) {
+      std::stable_sort(pool.begin(), pool.end(),
+                       [](const PoolEntry& a, const PoolEntry& b) {
+                         return Better(a.rung, b.rung);
+                       });
+      const size_t keep = std::max<size_t>(
+          1, static_cast<size_t>(std::ceil(pool.size() * kKeepFrac)));
+      for (size_t i = keep; i < pool.size(); ++i) {
+        outcomes[pool[i].out_idx].pruned = "halving";
+      }
+      pool.resize(keep);
     }
-    pool.resize(keep);
   }
 
   // Finalists at full depth.
@@ -253,7 +266,7 @@ TuneReport Autotune(const TuneInputs& in0, const SearchSpace& space,
   if (out_of_time) rep.budget_exhausted = true;
 
   // ---- stage 3: local mutation around the incumbent ----
-  for (int round = 0; best_cc && round < opt.mutation_rounds; ++round) {
+  for (int round = 0; best_cc && round < kMutationRounds; ++round) {
     if (budget_gone()) {
       rep.budget_exhausted = true;
       break;
@@ -262,16 +275,14 @@ TuneReport Autotune(const TuneInputs& in0, const SearchSpace& space,
     for (TuneCandidate& nb : NeighborCandidates(space, best_cc->cand)) {
       if (!seen.count(nb.Key())) neighbors.push_back(std::move(nb));
     }
-    if (opt.max_neighbors > 0 &&
-        neighbors.size() > static_cast<size_t>(opt.max_neighbors)) {
-      // Deterministic partial Fisher-Yates draw of max_neighbors.
+    if (neighbors.size() > kMaxNeighbors) {
+      // Deterministic partial Fisher-Yates draw of kMaxNeighbors.
       Rng rng(opt.seed, static_cast<uint64_t>(round) + 1);
-      for (int i = 0; i < opt.max_neighbors; ++i) {
-        const size_t j =
-            i + rng.NextBelow(neighbors.size() - static_cast<size_t>(i));
-        std::swap(neighbors[static_cast<size_t>(i)], neighbors[j]);
+      for (size_t i = 0; i < kMaxNeighbors; ++i) {
+        const size_t j = i + rng.NextBelow(neighbors.size() - i);
+        std::swap(neighbors[i], neighbors[j]);
       }
-      neighbors.resize(static_cast<size_t>(opt.max_neighbors));
+      neighbors.resize(kMaxNeighbors);
     }
     bool improved = false;
     for (const TuneCandidate& nb : neighbors) {
@@ -370,28 +381,28 @@ RuntimeKnobs ToRuntimeKnobs(const CompiledCandidate& cc,
 
 namespace {
 
-void CandidateJson(std::ostream& out, const TuneCandidate& c) {
-  out << "{\"key\": \"" << obs::JsonEscape(c.Key()) << "\"";
-  if (!c.name.empty()) out << ", \"name\": \"" << obs::JsonEscape(c.name)
-                           << "\"";
-  out << ", \"backward_prefetch\": " << (c.backward_prefetch ? "true" : "false")
-      << ", \"forward_prefetch\": " << (c.forward_prefetch ? "true" : "false")
-      << ", \"limit_all_gathers\": " << c.limit_all_gathers
-      << ", \"sharding_factor\": " << c.sharding_factor
-      << ", \"reshard_after_forward\": "
-      << (c.reshard_after_forward ? "true" : "false")
-      << ", \"wrap_blocks_per_unit\": " << c.wrap_blocks_per_unit
-      << ", \"fuse_below_bytes\": " << c.fuse_below_bytes
-      << ", \"max_hoist_computes\": " << c.max_hoist_computes
-      << ", \"max_sink_computes\": " << c.max_sink_computes << "}";
+void CandidateJson(obs::JsonWriter& w, const TuneCandidate& c) {
+  w.BeginObject().Key("key").String(c.Key());
+  if (!c.name.empty()) w.Key("name").String(c.name);
+  w.Key("backward_prefetch").Bool(c.backward_prefetch);
+  w.Key("forward_prefetch").Bool(c.forward_prefetch);
+  w.Key("limit_all_gathers").Int(c.limit_all_gathers);
+  w.Key("sharding_factor").Int(c.sharding_factor);
+  w.Key("reshard_after_forward").Bool(c.reshard_after_forward);
+  w.Key("wrap_blocks_per_unit").Int(c.wrap_blocks_per_unit);
+  w.Key("fuse_below_bytes").Int(c.fuse_below_bytes);
+  w.Key("max_hoist_computes").Int(c.max_hoist_computes);
+  w.Key("max_sink_computes").Int(c.max_sink_computes);
+  w.EndObject();
 }
 
-void MetricsJson(std::ostream& out, const simfsdp::SimMetrics& m) {
-  out << "{\"oom\": " << (m.oom ? "true" : "false")
-      << ", \"iter_time_us\": " << m.iter_time_us
-      << ", \"exposed_comm_us\": " << m.exposed_comm_us
-      << ", \"tflops_per_gpu\": " << m.tflops_per_gpu
-      << ", \"peak_reserved\": " << m.peak_reserved << "}";
+void MetricsJson(obs::JsonWriter& w, const simfsdp::SimMetrics& m) {
+  w.BeginObject().Key("oom").Bool(m.oom);
+  w.Key("iter_time_us").Double(m.iter_time_us);
+  w.Key("exposed_comm_us").Double(m.exposed_comm_us);
+  w.Key("tflops_per_gpu").Double(m.tflops_per_gpu);
+  w.Key("peak_reserved").Int(m.peak_reserved);
+  w.EndObject();
 }
 
 }  // namespace
@@ -401,52 +412,50 @@ std::string WriteTuneJson(const std::string& name, const TuneReport& rep,
   const std::string path = obs::ArtifactPath("TUNE_" + name + ".json");
   std::ofstream out(path);
   FSDP_CHECK_MSG(out.good(), "cannot open " << path);
-  out << "{" << obs::ArtifactEnvelopeJson(meta) << ",\n";
-  out << "\"name\": \"" << obs::JsonEscape(name) << "\",\n";
-  out << "\"found\": " << (rep.found ? "true" : "false") << ",\n";
+  obs::JsonWriter w;
+  w.BeginObject();
+  obs::WriteArtifactEnvelope(w, meta);
+  w.Key("name").String(name).Key("found").Bool(rep.found);
   if (rep.found) {
-    out << "\"winner\": {\"candidate\": ";
-    CandidateJson(out, rep.winner.cand);
-    out << ", \"describe\": \""
-        << obs::JsonEscape(rep.winner.cand.Describe()) << "\", \"metrics\": ";
-    MetricsJson(out, rep.winner_metrics);
-    out << ", \"step_lb_us\": " << rep.winner_env.step_lb_us
-        << ", \"peak_bytes\": " << rep.winner_env.peak_bytes << "},\n";
+    w.Key("winner").BeginObject().Key("candidate");
+    CandidateJson(w, rep.winner.cand);
+    w.Key("describe").String(rep.winner.cand.Describe()).Key("metrics");
+    MetricsJson(w, rep.winner_metrics);
+    w.Key("step_lb_us").Double(rep.winner_env.step_lb_us);
+    w.Key("peak_bytes").Int(rep.winner_env.peak_bytes).EndObject();
   }
   if (!rep.best_preset.empty()) {
-    out << "\"best_preset\": {\"name\": \"" << obs::JsonEscape(rep.best_preset)
-        << "\", \"metrics\": ";
-    MetricsJson(out, rep.best_preset_metrics);
-    out << "},\n";
+    w.Key("best_preset").BeginObject().Key("name").String(rep.best_preset);
+    w.Key("metrics");
+    MetricsJson(w, rep.best_preset_metrics);
+    w.EndObject();
   }
   const TuneCounts& c = rep.counts;
-  out << "\"counts\": {\"raw_candidates\": " << c.raw_candidates
-      << ", \"presets\": " << c.presets << ", \"invalid\": " << c.invalid
-      << ", \"memory_pruned\": " << c.memory_pruned
-      << ", \"bound_pruned\": " << c.bound_pruned
-      << ", \"pool_skipped\": " << c.pool_skipped
-      << ", \"budget_skipped\": " << c.budget_skipped
-      << ", \"simulated\": " << c.simulated
-      << ", \"sim_runs\": " << c.sim_runs << "},\n";
-  out << "\"budget_exhausted\": " << (rep.budget_exhausted ? "true" : "false")
-      << ",\n\"search_ms\": " << rep.search_ms << ",\n";
-  out << "\"outcomes\": [\n";
-  for (size_t i = 0; i < rep.outcomes.size(); ++i) {
-    const CandidateOutcome& o = rep.outcomes[i];
-    out << "  {\"key\": \"" << obs::JsonEscape(o.cand.Key())
-        << "\", \"stage\": \"" << o.stage << "\", \"pruned\": \"" << o.pruned
-        << "\", \"simulated\": " << (o.simulated ? "true" : "false")
-        << ", \"step_lb_us\": " << o.env.step_lb_us
-        << ", \"peak_bytes\": " << o.env.peak_bytes;
+  w.Key("counts").BeginObject();
+  w.Key("raw_candidates").Int(c.raw_candidates).Key("presets").Int(c.presets);
+  w.Key("invalid").Int(c.invalid).Key("memory_pruned").Int(c.memory_pruned);
+  w.Key("bound_pruned").Int(c.bound_pruned);
+  w.Key("pool_skipped").Int(c.pool_skipped);
+  w.Key("budget_skipped").Int(c.budget_skipped);
+  w.Key("simulated").Int(c.simulated).Key("sim_runs").Int(c.sim_runs);
+  w.EndObject().Key("budget_exhausted").Bool(rep.budget_exhausted);
+  w.Key("search_ms").Double(rep.search_ms).Key("outcomes").BeginArray();
+  for (const CandidateOutcome& o : rep.outcomes) {
+    w.BeginObject().Key("key").String(o.cand.Key());
+    w.Key("stage").String(o.stage).Key("pruned").String(o.pruned);
+    w.Key("simulated").Bool(o.simulated);
+    w.Key("step_lb_us").Double(o.env.step_lb_us);
+    w.Key("peak_bytes").Int(o.env.peak_bytes);
     if (o.simulated) {
-      out << ", \"sim_iterations\": " << o.sim_iterations
-          << ", \"full_score\": " << (o.full_score ? "true" : "false")
-          << ", \"iter_time_us\": " << o.metrics.iter_time_us
-          << ", \"exposed_comm_us\": " << o.metrics.exposed_comm_us;
+      w.Key("sim_iterations").Int(o.sim_iterations);
+      w.Key("full_score").Bool(o.full_score);
+      w.Key("iter_time_us").Double(o.metrics.iter_time_us);
+      w.Key("exposed_comm_us").Double(o.metrics.exposed_comm_us);
     }
-    out << "}" << (i + 1 < rep.outcomes.size() ? "," : "") << "\n";
+    w.EndObject();
   }
-  out << "]}\n";
+  w.EndArray().EndObject();
+  out << w.str() << "\n";
   return path;
 }
 

@@ -19,8 +19,8 @@
 //      nothing viable is lost); candidates whose analytic lower bound
 //      already exceeds the best fully-simulated time are dropped unsimulated
 //      (lb <= true simulated time, so they cannot win);
-//   3. survivors run successive halving (lb-sorted pool, short sims,
-//      keep_frac per rung), finalists are scored at full depth;
+//   3. survivors run one successive-halving rung (lb-sorted pool, 1-iteration
+//      sims, the better half kept), finalists are scored at full depth;
 //   4. local mutation: the incumbent's single-knob neighbors (deterministic
 //      Rng-sampled when many) are scored full-depth for a few hill-climbing
 //      rounds.
@@ -44,19 +44,6 @@ namespace fsdp::tune {
 
 struct TuneOptions {
   uint64_t seed = 42;
-  /// Simulator iterations per successive-halving rung (short, ranking-only
-  /// sims); finalists re-run at the full TuneInputs::base.iterations depth.
-  std::vector<int> halving_iters = {1};
-  /// Fraction of the pool kept after each rung (at least 1 survives).
-  double keep_frac = 0.5;
-  /// Cap on the lb-sorted simulation pool entering successive halving;
-  /// candidates beyond it are skipped (counted, reachable again through
-  /// mutation around the winner). <= 0 disables the cap.
-  int max_pool = 64;
-  /// Hill-climbing rounds around the incumbent after the grid stage.
-  int mutation_rounds = 2;
-  /// Neighbors scored per mutation round (Rng-sampled when more exist).
-  int max_neighbors = 12;
   /// Wall-clock budget for the whole search; 0 = unbounded. When exhausted,
   /// remaining candidates are skipped (counted) and the best-so-far wins —
   /// the search degrades gracefully instead of overrunning.
@@ -74,7 +61,7 @@ struct CandidateOutcome {
   std::string stage;       // "preset" | "grid" | "mutation"
   /// Why the candidate was dropped before full scoring: "" (not dropped),
   /// "invalid" (builder rejected the knob combination), "memory" /
-  /// "bound" (envelope pruner), "pool" (max_pool cap), "halving"
+  /// "bound" (envelope pruner), "pool" (kMaxPool cap), "halving"
   /// (eliminated in a rung), "budget" (time budget exhausted).
   std::string pruned;
   bool simulated = false;  // at least one simulator run
@@ -93,7 +80,7 @@ struct TuneCounts {
   int64_t invalid = 0;         // builder-rejected knob combinations
   int64_t memory_pruned = 0;   // envelope: arena peak > capacity
   int64_t bound_pruned = 0;    // envelope: step lower bound >= best time
-  int64_t pool_skipped = 0;    // beyond max_pool
+  int64_t pool_skipped = 0;    // beyond kMaxPool
   int64_t budget_skipped = 0;  // time budget exhausted
   int64_t simulated = 0;       // distinct candidates with >= 1 sim run
   int64_t sim_runs = 0;        // total simulator invocations

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -399,6 +400,60 @@ TEST(ObsMetricsTest, BenchJsonWriterRoundTrips) {
   EXPECT_DOUBLE_EQ(out[1]["bytes"].AsNumber(),
                    static_cast<double>(int64_t{1} << 40));
   std::remove("BENCH_obs_test.json");
+}
+
+// A bench row keeps every bit of a double: the figure gate compares rows
+// exactly, so 12 significant digits are not enough.
+TEST(ObsMetricsTest, BenchJsonRowKeepsDoublesBitEqual) {
+  const double third = 1.0 / 3.0;
+  const std::string path = bench::WriteBenchJson(
+      "obs_test_exact", {bench::JsonRow().Set("third", third)});
+  ASSERT_FALSE(path.empty());
+  auto parsed = obs::ParseJsonFile(path);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(parsed.ValueOrDie()["rows"].AsArray()[0]["third"].AsNumber(),
+            third);
+  std::remove(path.c_str());
+}
+
+// The one writer: exact numbers (flight-recorder-scale microseconds, int64
+// byte counts), escaped keys and strings, null for what JSON cannot spell.
+TEST(ObsJsonTest, WriterRoundTripsNumbersAndStrings) {
+  const double flight_us = 123456789.125;
+  const int64_t big = int64_t{1} << 40;
+  const std::string tricky = "say \"hi\"\\ \n\t\r\x01 end";
+  const double inf = std::numeric_limits<double>::infinity();
+  obs::JsonWriter w;
+  w.BeginObject().Key("us").Double(flight_us).Key("bytes").Int(big);
+  w.Key(tricky).String(tricky);
+  w.Key("nan").Double(std::numeric_limits<double>::quiet_NaN());
+  w.Key("inf").Double(inf).Key("ninf").Double(-inf);
+  w.Key("list").BeginArray().Int(-1).Bool(true).Null().BeginObject();
+  w.EndObject().EndArray().EndObject();
+
+  auto parsed = obs::ParseJson(w.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message() << "\n" << w.str();
+  const obs::JsonValue& doc = parsed.ValueOrDie();
+  EXPECT_EQ(doc["us"].AsNumber(), flight_us);
+  EXPECT_NE(w.str().find("123456789.125"), std::string::npos) << w.str();
+  EXPECT_EQ(static_cast<int64_t>(doc["bytes"].AsNumber()), big);
+  EXPECT_NE(w.str().find(std::to_string(big)), std::string::npos);
+  EXPECT_EQ(doc[tricky].AsString(), tricky);
+  EXPECT_TRUE(doc["nan"].is_null());
+  EXPECT_TRUE(doc["inf"].is_null());
+  EXPECT_TRUE(doc["ninf"].is_null());
+  const obs::JsonArray& list = doc["list"].AsArray();
+  ASSERT_EQ(list.size(), 4u);
+  EXPECT_EQ(list[0].AsNumber(), -1.0);
+  EXPECT_TRUE(list[1].AsBool());
+  EXPECT_TRUE(list[2].is_null());
+  EXPECT_TRUE(list[3].AsObject().empty());
+}
+
+TEST(ObsJsonDeathTest, WriterRejectsMisuse) {
+  EXPECT_DEATH(obs::JsonWriter().BeginObject().Int(1), "without a Key");
+  EXPECT_DEATH(obs::JsonWriter().BeginArray().Key("k"), "misplaced Key");
+  EXPECT_DEATH(obs::JsonWriter().BeginArray().EndObject(), "unbalanced");
 }
 
 // The shared envelope is backward compatible only: a document stamped by a

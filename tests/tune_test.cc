@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -306,7 +307,6 @@ TEST(TuneSearchTest, DeterministicForAFixedSeed) {
   const SearchSpace space = SearchSpace::Default(in.topo);
   TuneOptions opt;
   opt.seed = 7;
-  opt.mutation_rounds = 2;
 
   const TuneReport a = Autotune(in, space, opt);
   const TuneReport b = Autotune(in, space, opt);
@@ -407,6 +407,63 @@ TEST(TuneAcceptanceTest, GptLikeTunedBeatsEveryPresetWithHalfTheSpacePruned) {
   EXPECT_GT(rep.counts.memory_pruned, 0);
 }
 
+/// Full-depth simulated metrics of one candidate, scored as Autotune scores
+/// it (the simulator's HBM is the tuner's capacity), with no search run.
+simfsdp::SimMetrics ScoreCandidate(TuneInputs in, const TuneCandidate& cand) {
+  in.constants.hbm_bytes = in.capacity_bytes;
+  CompiledCandidate cc;
+  const Status compiled = tune::CompileCandidate(cand, in, &cc);
+  EXPECT_TRUE(compiled.ok()) << compiled.ToString();
+  return simfsdp::FsdpSimulator(cc.workload, in.topo, in.constants, cc.config,
+                                cc.plan)
+      .Run();
+}
+
+/// Asserts `winner` and its backward-prefetch twin simulate to exactly the
+/// same iteration time: in both winners prefetch has nothing left to move.
+void ExpectPrefetchTwinTies(const TuneInputs& in, const TuneCandidate& winner,
+                            const std::string& key) {
+  ASSERT_EQ(winner.Key(), key);
+  TuneCandidate twin = winner;
+  twin.backward_prefetch = true;
+  const simfsdp::SimMetrics a = ScoreCandidate(in, winner);
+  const simfsdp::SimMetrics b = ScoreCandidate(in, twin);
+  ASSERT_FALSE(a.oom);
+  ASSERT_FALSE(b.oom);
+  EXPECT_EQ(a.iter_time_us, b.iter_time_us) << key;
+}
+
+// T5-11B 2x8 keeps parameters after forward, so backward has no gathers for
+// prefetch to issue early.
+TEST(TunePrefetchTwinTest, T5WinnerTiesItsPrefetchTwin) {
+  TuneCandidate winner;
+  winner.backward_prefetch = false;
+  winner.forward_prefetch = false;
+  winner.limit_all_gathers = 0;
+  winner.sharding_factor = 8;
+  winner.reshard_after_forward = false;
+  winner.wrap_blocks_per_unit = 1;
+  ExpectPrefetchTwinTies(
+      T5LikeInputs(), winner,
+      "bp=0,fp=0,lim=0,f=8,raf=0,wrap=1,fuse=0,hoist=0,sink=0");
+}
+
+// GPT-175B 16x8 sinks each ReduceScatter behind the next AllGather
+// (sink=2), which is the reordering backward prefetch would make.
+TEST(TunePrefetchTwinTest, GptWinnerTiesItsPrefetchTwin) {
+  TuneCandidate winner;
+  winner.backward_prefetch = false;
+  winner.forward_prefetch = false;
+  winner.limit_all_gathers = 0;
+  winner.sharding_factor = 0;
+  winner.reshard_after_forward = true;
+  winner.wrap_blocks_per_unit = 1;
+  winner.max_sink_computes = 2;
+  ExpectPrefetchTwinTies(
+      GptLikeInputs(), winner,
+      "bp=0,fp=0,lim=0,f=0,raf=1,wrap=1,fuse=0,hoist=0,sink=2");
+}
+
 // ---------------------------------------------------------------------------
 // The end of the loop: the winning schedule is executable by the real
 // collective runtime.
@@ -470,6 +527,28 @@ TEST(TuneArtifactTest, WriteTuneJsonEmitsValidatedEnvelope) {
   EXPECT_EQ(int64_t(doc["counts"]["raw_candidates"].AsNumber()),
             rep.counts.raw_candidates);
   EXPECT_EQ(doc["outcomes"].AsArray().size(), rep.outcomes.size());
+}
+
+// Scores are written exactly, so a tie between two candidates can be read
+// from the artifact: a T5-11B-2x8-scale time (~280 ms) carrying all 17
+// significant digits parses back bit-equal.
+TEST(TuneArtifactTest, WinnerTimeParsesBackBitEqual) {
+  const double iter_time_us = 279974.91028500003;
+  TuneReport rep;
+  rep.found = true;
+  rep.winner_metrics.iter_time_us = iter_time_us;
+  rep.best_preset = "default";
+  rep.best_preset_metrics.iter_time_us = iter_time_us + 1;
+  const std::string path =
+      tune::WriteTuneJson("tune_test_exact", rep, obs::ArtifactMeta{});
+
+  auto parsed = obs::ParseJsonFile(path);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  const obs::JsonValue& doc = parsed.ValueOrDie();
+  EXPECT_EQ(doc["winner"]["metrics"]["iter_time_us"].AsNumber(), iter_time_us);
+  EXPECT_EQ(doc["best_preset"]["metrics"]["iter_time_us"].AsNumber(),
+            iter_time_us + 1);
+  std::remove(path.c_str());
 }
 
 }  // namespace
