@@ -48,12 +48,6 @@ bool FaultInjector::Match(int rank, int64_t seq, const std::string& label,
   return false;
 }
 
-void FaultInjector::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  pending_.clear();
-  armed_.store(false, std::memory_order_relaxed);
-}
-
 std::string OpSignature::Render() const {
   std::string out = obs::EventKindName(kind);
   if (!label.empty()) out += ":" + label;
@@ -147,7 +141,7 @@ std::vector<obs::TraceEvent> FlightRecorder::TraceEvents() const {
       e.t_end_us = r.complete_us > 0 ? r.complete_us
                    : r.start_us > 0  ? r.start_us
                                      : r.issue_us;
-      e.bytes = r.sig.bytes;
+      e.bytes = r.sig.numel * 4;
       out.push_back(std::move(e));
     }
   }

@@ -18,7 +18,7 @@
 //            collective on this rank).
 //
 // OpSignature is the per-collective identity checked at the rendezvous
-// (kind, label/tag, payload bytes, broadcast root) — the analogue of NCCL's
+// (kind, label/tag, payload numel, broadcast root) — the analogue of NCCL's
 // collective hashing used by desync debugging. FlightRecorder keeps the last
 // N per-rank collective records (seq, signature, issue/start/complete
 // timestamps, final state) in a ring, the data the watchdog dumps as JSON
@@ -75,7 +75,6 @@ class FaultInjector {
   bool armed() const {
     return armed_.load(std::memory_order_relaxed);
   }
-  void Clear();
 
   /// Publishes the current training step for step-keyed specs. Called by the
   /// train loop (Communicator/DeviceMesh::SetTrainStep) at step boundaries.
@@ -98,11 +97,11 @@ class FaultInjector {
 struct OpSignature {
   obs::EventKind kind = obs::EventKind::kMarker;
   std::string label;   // CollectiveOptions::tag or the default op name
-  int64_t bytes = 0;   // payload bytes (numel proxy)
-  int root = -1;       // broadcast root, -1 otherwise
+  int64_t numel = 0;   // payload size every rank agrees on (f32 elements)
+  int root = -1;       // broadcast root / p2p peer, -1 otherwise
 
   bool operator==(const OpSignature& o) const {
-    return kind == o.kind && label == o.label && bytes == o.bytes &&
+    return kind == o.kind && label == o.label && numel == o.numel &&
            root == o.root;
   }
   bool operator!=(const OpSignature& o) const { return !(*this == o); }

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "obs/artifact.h"
 #include "obs/chrome_trace.h"
@@ -56,6 +57,49 @@ CommMetrics& Metrics() {
   return m;
 }
 
+/// Counts one op's wire bytes into its rank's CommStats and the comm.*
+/// counters. AllToAll counts with the gather family; Send/Recv have no
+/// registry counters and a Barrier moves nothing.
+void CountTraffic(CommStats& s, obs::EventKind kind, int64_t bytes) {
+  switch (kind) {
+    case obs::EventKind::kAllGather:
+    case obs::EventKind::kAllToAll:
+      ++s.allgather_ops;
+      s.allgather_bytes += bytes;
+      Metrics().ag_count.Add(1);
+      Metrics().ag_bytes.Add(bytes);
+      break;
+    case obs::EventKind::kReduceScatter:
+      ++s.reducescatter_ops;
+      s.reducescatter_bytes += bytes;
+      Metrics().rs_count.Add(1);
+      Metrics().rs_bytes.Add(bytes);
+      break;
+    case obs::EventKind::kAllReduce:
+      ++s.allreduce_ops;
+      s.allreduce_bytes += bytes;
+      Metrics().ar_count.Add(1);
+      Metrics().ar_bytes.Add(bytes);
+      break;
+    case obs::EventKind::kBroadcast:
+      ++s.broadcast_ops;
+      s.broadcast_bytes += bytes;
+      Metrics().bcast_count.Add(1);
+      Metrics().bcast_bytes.Add(bytes);
+      break;
+    case obs::EventKind::kSend:
+      ++s.send_ops;
+      s.send_bytes += bytes;
+      break;
+    case obs::EventKind::kRecv:
+      ++s.recv_ops;
+      s.recv_bytes += bytes;
+      break;
+    default:
+      break;
+  }
+}
+
 /// Reduces element range [off, off + n) across every rank's slot into dst:
 /// peers in rank order, quantizing each partial sum through comm_dtype.
 void ReduceSlots(const std::vector<const float*>& slots, int64_t off,
@@ -81,6 +125,18 @@ std::string FormatMs(double ms) {
   os.precision(1);
   os << std::fixed << ms;
   return os.str();
+}
+
+/// Renders two signatures that differ for a diagnosis, naming each payload
+/// numel when the size is all that tells them apart.
+std::pair<std::string, std::string> RenderMismatch(const OpSignature& got,
+                                                   const OpSignature& want) {
+  std::string a = got.Render(), b = want.Render();
+  if (a == b && got.numel != want.numel) {
+    a += " (numel " + std::to_string(got.numel) + ")";
+    b += " (numel " + std::to_string(want.numel) + ")";
+  }
+  return {a, b};
 }
 
 /// "ranks 0,2,3" (or "rank 0") for diagnosis messages.
@@ -166,7 +222,6 @@ int64_t Work::bytes() const {
 
 Communicator::Communicator(int size, std::shared_ptr<AbortDomain> domain)
     : size_(size), barrier_(size), src_slots_(size, nullptr),
-      dst_slots_(size, nullptr), count_slots_(size, 0),
       rank_stats_(size), domain_(std::move(domain)), queues_(size),
       flight_(size), progress_(size), sig_slots_(size) {
   FSDP_CHECK_MSG(size > 0, "communicator size must be positive");
@@ -278,7 +333,8 @@ void Communicator::ExecuteOp(int comm_rank, CommOp& op) {
   // diagnoses correctly read "never entered".
   if (injector_.armed()) {
     FaultSpec fault;
-    if (injector_.Match(comm_rank, op.seq, op.label, op.sig.kind, &fault)) {
+    if (injector_.Match(comm_rank, op.seq, op.sig.label, op.sig.kind,
+                        &fault)) {
       switch (fault.kind) {
         case FaultKind::kDelay: {
           // Straggler: interruptible stall, then the op proceeds normally.
@@ -362,28 +418,33 @@ void Communicator::ExecuteOp(int comm_rank, CommOp& op) {
   flight_.OnStarted(comm_rank, op.seq, start);
 
   bool ok = true;
-  // P2p ops skip the all-rank rendezvous: only the two endpoints
-  // participate, so a barrier over every rank would deadlock.
-  if (desync_detection_.load(std::memory_order_relaxed) && !op.p2p) {
+  // P2p ops (Send/Recv) skip the all-rank rendezvous: only the two
+  // endpoints participate, so a barrier over every rank would deadlock. The
+  // watchdog still covers them via the per-rank progress table.
+  const bool p2p = op.sig.kind == obs::EventKind::kSend ||
+                   op.sig.kind == obs::EventKind::kRecv;
+  if (desync_detection_.load(std::memory_order_relaxed) && !p2p) {
     ok = Rendezvous(comm_rank, op);
   }
+  // issue_us and bytes were written before enqueue (see Issue).
+  const int64_t bytes = op.work->bytes;
   if (ok) {
-    if (op.kind != obs::EventKind::kMarker) TransferDelay(op.bytes);
+    TransferDelay(bytes);
     ok = op.body();
   }
 
   const double end = MonotonicMicros();
   auto& collector = obs::TraceCollector::Get();
-  if (collector.enabled() && op.kind != obs::EventKind::kMarker) {
+  if (collector.enabled()) {
     obs::TraceEvent e;
     e.rank = op.trace_rank;
-    e.kind = op.kind;
-    e.unit = op.label;
+    e.kind = op.sig.kind;
+    e.unit = op.sig.label;
     e.lane = "comm";
-    e.t_begin_us = op.work->issue_us;  // written before enqueue (see Issue)
-    e.t_exec_us = start;               // worker pickup: queue delay ends here
+    e.t_begin_us = op.work->issue_us;
+    e.t_exec_us = start;  // worker pickup: queue delay ends here
     e.t_end_us = end;
-    e.bytes = op.bytes;
+    e.bytes = bytes;
     collector.Record(std::move(e));
   }
   Status st = Status::OK();
@@ -446,14 +507,13 @@ bool Communicator::Rendezvous(int comm_rank, const CommOp& op) {
     }
     if (diag.culprit_rank < 0) return true;  // all slots agree
     const SigSlot& culprit = sig_slots_[diag.culprit_rank];
+    const auto [entered, held] = RenderMismatch(culprit.sig, expected.sig);
     diag.desync = true;
     diag.stuck_op = expected.sig.Render();
     diag.reason = "collective desync on '" + name_ + "': rank " +
-                  std::to_string(diag.culprit_rank) + " entered " +
-                  culprit.sig.Render() + " #" +
-                  std::to_string(culprit.seq) + ", expected " +
-                  expected.sig.Render() + " #" +
-                  std::to_string(expected.seq) + " (held by " +
+                  std::to_string(diag.culprit_rank) + " entered " + entered +
+                  " #" + std::to_string(culprit.seq) + ", expected " + held +
+                  " #" + std::to_string(expected.seq) + " (held by " +
                   RankList(agree) + ")";
   }
   AbortWithDiagnosis(std::move(diag), /*from_watchdog=*/false);
@@ -720,13 +780,14 @@ WatchdogDiagnosis Communicator::Diagnose(
   }
   for (int r = 0; diag.culprit_rank < 0 && r < size_; ++r) {
     const RankProgress& p = snapshot[r];
-    if (p.in_op && (p.cur_seq != seq || !(p.cur_sig == sig))) {
+    if (p.in_op && (p.cur_seq != seq || p.cur_sig != sig)) {
+      const auto [in, expected] = RenderMismatch(p.cur_sig, sig);
       diag.culprit_rank = r;
       diag.culprit_seq = p.cur_seq;
       diag.desync = true;
-      what = "rank " + std::to_string(r) + " is in " + p.cur_sig.Render() +
-             " #" + std::to_string(p.cur_seq) + " instead of " + sig.Render() +
-             " #" + std::to_string(seq);
+      what = "rank " + std::to_string(r) + " is in " + in + " #" +
+             std::to_string(p.cur_seq) + " instead of " + expected + " #" +
+             std::to_string(seq);
     }
   }
   for (int r = 0; diag.culprit_rank < 0 && r < size_; ++r) {
@@ -798,7 +859,8 @@ std::string Communicator::FlightRecorderJson() const {
     w.BeginObject().Key("rank").Int(r).Key("records").BeginArray();
     for (const FlightRecord& rec : flight_.Records(r)) {
       w.BeginObject().Key("seq").Int(rec.seq);
-      w.Key("op").String(rec.sig.Render()).Key("bytes").Int(rec.sig.bytes);
+      w.Key("op").String(rec.sig.Render());
+      w.Key("bytes").Int(rec.sig.numel * 4);
       w.Key("root").Int(rec.sig.root);
       w.Key("state").String(OpStateName(rec.state));
       w.Key("issue_us").Double(rec.issue_us);
@@ -838,23 +900,20 @@ ProcessGroup::ProcessGroup(std::shared_ptr<Communicator> comm, int rank)
 }
 
 Work ProcessGroup::Issue(obs::EventKind kind, const CollectiveOptions& opts,
-                         const char* default_label, int64_t bytes,
-                         std::function<bool()> body,
-                         std::vector<Tensor> keepalive, int root, bool p2p) {
+                         const char* default_label, int64_t numel,
+                         int64_t wire_bytes, std::function<bool()> body,
+                         int root) {
+  CountTraffic(comm_->rank_stats_[rank_], kind, wire_bytes);
   auto state = std::make_shared<WorkState>();
-  // Written before Enqueue; the queue mutex publishes it to the worker.
+  // Written before Enqueue; the queue mutex publishes them to the worker.
   state->issue_us = MonotonicMicros();
-  state->bytes = bytes;
-  state->keepalive = std::move(keepalive);
+  state->bytes = wire_bytes;
   Communicator::CommOp op;
   op.body = std::move(body);
   op.work = state;
   op.trace_rank = CurrentRank() >= 0 ? CurrentRank() : rank_;
-  op.kind = kind;
-  op.label = opts.tag.empty() ? default_label : opts.tag;
-  op.bytes = bytes;
-  op.sig = OpSignature{kind, op.label, bytes, root};
-  op.p2p = p2p;
+  op.sig = OpSignature{kind, opts.tag.empty() ? default_label : opts.tag,
+                       numel, root};
   op.timeout_ms =
       opts.timeout_ms > 0 ? opts.timeout_ms : comm_->default_timeout_ms();
   op.seq = comm_->RegisterIssue(rank_, op.sig, state->issue_us);
@@ -866,68 +925,12 @@ Work ProcessGroup::Issue(obs::EventKind kind, const CollectiveOptions& opts,
   return w;
 }
 
-Work ProcessGroup::Barrier(const CollectiveOptions& opts) {
-  Communicator* c = comm_.get();
-  return Issue(obs::EventKind::kBarrier, opts, "barrier", 0,
-               [c] { return c->BodySync(); });
-}
-
-Work ProcessGroup::Send(const float* src, int64_t numel, int dst_rank,
-                        const CollectiveOptions& opts) {
-  return SendImpl(src, numel, dst_rank, opts, {});
-}
-
-Work ProcessGroup::Recv(float* dst, int64_t numel, int src_rank,
-                        const CollectiveOptions& opts) {
-  return RecvImpl(dst, numel, src_rank, opts, {});
-}
-
-Work ProcessGroup::Send(const Tensor& src, int dst_rank,
-                        const CollectiveOptions& opts) {
-  return SendImpl(src.data(), src.numel(), dst_rank, opts, {src});
-}
-
-Work ProcessGroup::Recv(Tensor dst, int src_rank,
-                        const CollectiveOptions& opts) {
-  return RecvImpl(dst.data(), dst.numel(), src_rank, opts, {dst});
-}
-
-Work ProcessGroup::SendImpl(const float* src, int64_t numel, int dst_rank,
-                            const CollectiveOptions& opts,
-                            std::vector<Tensor> keepalive) {
-  FSDP_CHECK_MSG(dst_rank >= 0 && dst_rank < size() && dst_rank != rank_,
-                 "send peer " << dst_rank << " out of range for size "
-                              << size() << " (self-send not supported)");
-  CommStats& s = mutable_stats();
-  ++s.send_ops;
-  s.send_bytes += numel * 4;
-  Communicator* c = comm_.get();
-  const int r = rank_;
-  return Issue(
-      obs::EventKind::kSend, opts, "send", numel * 4,
-      [c, r, src, numel, dst_rank] {
-        return RunSend(c, r, src, numel, dst_rank);
-      },
-      std::move(keepalive), /*root=*/dst_rank, /*p2p=*/true);
-}
-
-Work ProcessGroup::RecvImpl(float* dst, int64_t numel, int src_rank,
-                            const CollectiveOptions& opts,
-                            std::vector<Tensor> keepalive) {
-  FSDP_CHECK_MSG(src_rank >= 0 && src_rank < size() && src_rank != rank_,
-                 "recv peer " << src_rank << " out of range for size "
-                              << size() << " (self-recv not supported)");
-  CommStats& s = mutable_stats();
-  ++s.recv_ops;
-  s.recv_bytes += numel * 4;
-  Communicator* c = comm_.get();
-  const int r = rank_;
-  return Issue(
-      obs::EventKind::kRecv, opts, "recv", numel * 4,
-      [c, r, dst, numel, src_rank] {
-        return RunRecv(c, r, dst, numel, src_rank);
-      },
-      std::move(keepalive), /*root=*/src_rank, /*p2p=*/true);
+Work ProcessGroup::Pin(Work work, std::vector<Tensor> operands) {
+  if (const auto& s = work.state_) {
+    std::lock_guard<std::mutex> lock(s->mu);
+    if (!s->done) s->keepalive = std::move(operands);
+  }
+  return work;
 }
 
 // -- raw bodies (comm-worker threads only) ----------------------------------
@@ -1035,191 +1038,105 @@ bool ProcessGroup::RunRecv(Communicator* c, int rank, float* dst,
   return true;
 }
 
-// -- public collectives -----------------------------------------------------
-
-Work ProcessGroup::AllGatherBaseImpl(float* dst, const float* src,
-                                     int64_t numel_per_rank,
-                                     const CollectiveOptions& opts,
-                                     std::vector<Tensor> keepalive) {
-  const int w = size();
-  const int64_t bytes = (w - 1) * numel_per_rank * 4;
-  ++mutable_stats().allgather_ops;
-  mutable_stats().allgather_bytes += bytes;
-  Metrics().ag_count.Add(1);
-  Metrics().ag_bytes.Add(bytes);
-  Communicator* c = comm_.get();
-  const int rank = rank_;
-  return Issue(obs::EventKind::kAllGather, opts, "allgather_base", bytes,
-               [c, rank, dst, src, numel_per_rank] {
-                 return RunAllGatherBase(c, rank, dst, src, numel_per_rank);
-               },
-               std::move(keepalive));
-}
+// -- collectives ------------------------------------------------------------
 
 Work ProcessGroup::AllGatherBase(float* dst, const float* src,
                                  int64_t numel_per_rank,
                                  const CollectiveOptions& opts) {
-  return AllGatherBaseImpl(dst, src, numel_per_rank, opts, {});
-}
-
-Work ProcessGroup::AllGather(const std::vector<float*>& dsts, const float* src,
-                             int64_t numel_per_rank,
-                             const CollectiveOptions& opts) {
-  const int w = size();
-  FSDP_CHECK_MSG(static_cast<int>(dsts.size()) == w,
-                 "AllGather expects one output per rank");
-  const int64_t bytes = (w - 1) * numel_per_rank * 4;
-  ++mutable_stats().allgather_ops;
-  mutable_stats().allgather_bytes += bytes;
-  Metrics().ag_count.Add(1);
-  Metrics().ag_bytes.Add(bytes);
   Communicator* c = comm_.get();
   const int rank = rank_;
-  // PyTorch's list-output all_gather stages through one consolidated tensor
-  // and copies out — we reproduce that data path (the Fig 2(a) overhead).
-  return Issue(obs::EventKind::kAllGather, opts, "allgather", bytes,
-               [c, rank, dsts, src, numel_per_rank, w] {
-                 std::vector<float> consolidated(
-                     static_cast<size_t>(w * numel_per_rank));
-                 if (!RunAllGatherBase(c, rank, consolidated.data(), src,
-                                       numel_per_rank)) {
-                   return false;
-                 }
-                 for (int k = 0; k < w; ++k) {
-                   std::memcpy(dsts[k],
-                               consolidated.data() + k * numel_per_rank,
-                               static_cast<size_t>(numel_per_rank) * 4);
-                 }
-                 return true;
+  return Issue(obs::EventKind::kAllGather, opts, "allgather_base",
+               numel_per_rank, (size() - 1) * numel_per_rank * 4,
+               [c, rank, dst, src, numel_per_rank] {
+                 return RunAllGatherBase(c, rank, dst, src, numel_per_rank);
                });
-}
-
-Work ProcessGroup::AllGatherUneven(const std::vector<float*>& dsts,
-                                   const float* src,
-                                   const std::vector<int64_t>& counts,
-                                   const CollectiveOptions& opts) {
-  const int w = size();
-  FSDP_CHECK(static_cast<int>(dsts.size()) == w &&
-             static_cast<int>(counts.size()) == w);
-  int64_t bytes = 0;
-  for (int k = 0; k < w; ++k) {
-    if (k != rank_) bytes += counts[k] * 4;
-  }
-  ++mutable_stats().allgather_ops;
-  mutable_stats().allgather_bytes += bytes;
-  Metrics().ag_count.Add(1);
-  Metrics().ag_bytes.Add(bytes);
-  Communicator* c = comm_.get();
-  const int rank = rank_;
-  // Emulates ProcessGroup's uneven-input fallback: one broadcast per rank,
-  // run inline inside this single op (re-enqueueing from a worker would
-  // self-deadlock on the FIFO queue).
-  return Issue(obs::EventKind::kAllGather, opts, "allgather_uneven", bytes,
-               [c, rank, dsts, counts, src, w] {
-                 for (int root = 0; root < w; ++root) {
-                   if (rank == root) {
-                     std::memcpy(dsts[root], src,
-                                 static_cast<size_t>(counts[root]) * 4);
-                   }
-                   if (!RunBroadcast(c, rank, dsts[root], counts[root],
-                                     root)) {
-                     return false;
-                   }
-                 }
-                 return true;
-               });
-}
-
-Work ProcessGroup::ReduceScatterImpl(float* dst, const float* src,
-                                     int64_t numel_per_rank,
-                                     const CollectiveOptions& opts,
-                                     std::vector<Tensor> keepalive) {
-  const int w = size();
-  const int64_t bytes = (w - 1) * numel_per_rank * 4;
-  ++mutable_stats().reducescatter_ops;
-  mutable_stats().reducescatter_bytes += bytes;
-  Metrics().rs_count.Add(1);
-  Metrics().rs_bytes.Add(bytes);
-  Communicator* c = comm_.get();
-  const int rank = rank_;
-  const ReduceOp op = opts.op;
-  const DType dt = opts.comm_dtype;
-  return Issue(obs::EventKind::kReduceScatter, opts, "reduce_scatter", bytes,
-               [c, rank, dst, src, numel_per_rank, op, dt] {
-                 return RunReduceScatter(c, rank, dst, src, numel_per_rank,
-                                         op, dt);
-               },
-               std::move(keepalive));
 }
 
 Work ProcessGroup::ReduceScatter(float* dst, const float* src,
                                  int64_t numel_per_rank,
                                  const CollectiveOptions& opts) {
-  return ReduceScatterImpl(dst, src, numel_per_rank, opts, {});
-}
-
-Work ProcessGroup::AllReduceImpl(float* buf, int64_t numel,
-                                 const CollectiveOptions& opts,
-                                 std::vector<Tensor> keepalive) {
-  const int w = size();
-  // Ring all-reduce moves 2*(w-1)/w of the buffer per rank.
-  const int64_t bytes = 2 * (w - 1) * (numel / std::max(w, 1)) * 4;
-  ++mutable_stats().allreduce_ops;
-  mutable_stats().allreduce_bytes += bytes;
-  Metrics().ar_count.Add(1);
-  Metrics().ar_bytes.Add(bytes);
   Communicator* c = comm_.get();
   const int rank = rank_;
   const ReduceOp op = opts.op;
   const DType dt = opts.comm_dtype;
-  return Issue(obs::EventKind::kAllReduce, opts, "all_reduce", bytes,
-               [c, rank, buf, numel, op, dt] {
-                 return RunAllReduce(c, rank, buf, numel, op, dt);
-               },
-               std::move(keepalive));
+  return Issue(obs::EventKind::kReduceScatter, opts, "reduce_scatter",
+               numel_per_rank, (size() - 1) * numel_per_rank * 4,
+               [c, rank, dst, src, numel_per_rank, op, dt] {
+                 return RunReduceScatter(c, rank, dst, src, numel_per_rank,
+                                         op, dt);
+               });
 }
 
 Work ProcessGroup::AllReduce(float* buf, int64_t numel,
                              const CollectiveOptions& opts) {
-  return AllReduceImpl(buf, numel, opts, {});
-}
-
-Work ProcessGroup::BroadcastImpl(float* buf, int64_t numel, int root,
-                                 const CollectiveOptions& opts,
-                                 std::vector<Tensor> keepalive) {
-  const int64_t bytes = rank_ == root ? 0 : numel * 4;
-  ++mutable_stats().broadcast_ops;
-  mutable_stats().broadcast_bytes += bytes;
-  Metrics().bcast_count.Add(1);
-  Metrics().bcast_bytes.Add(bytes);
+  const int w = size();
   Communicator* c = comm_.get();
   const int rank = rank_;
-  return Issue(obs::EventKind::kBroadcast, opts, "broadcast", bytes,
-               [c, rank, buf, numel, root] {
-                 return RunBroadcast(c, rank, buf, numel, root);
-               },
-               std::move(keepalive), root);
+  const ReduceOp op = opts.op;
+  const DType dt = opts.comm_dtype;
+  // Ring all-reduce moves 2*(w-1)/w of the buffer per rank.
+  return Issue(obs::EventKind::kAllReduce, opts, "all_reduce", numel,
+               2 * (w - 1) * (numel / w) * 4,
+               [c, rank, buf, numel, op, dt] {
+                 return RunAllReduce(c, rank, buf, numel, op, dt);
+               });
 }
 
 Work ProcessGroup::Broadcast(float* buf, int64_t numel, int root,
                              const CollectiveOptions& opts) {
-  return BroadcastImpl(buf, numel, root, opts, {});
+  Communicator* c = comm_.get();
+  const int rank = rank_;
+  return Issue(obs::EventKind::kBroadcast, opts, "broadcast", numel,
+               rank_ == root ? 0 : numel * 4,
+               [c, rank, buf, numel, root] {
+                 return RunBroadcast(c, rank, buf, numel, root);
+               },
+               root);
 }
 
 Work ProcessGroup::AllToAll(float* dst, const float* src, int64_t chunk_numel,
                             const CollectiveOptions& opts) {
-  const int w = size();
-  const int64_t bytes = (w - 1) * chunk_numel * 4;
-  ++mutable_stats().allgather_ops;  // accounted with the gather family
-  mutable_stats().allgather_bytes += bytes;
-  Metrics().ag_count.Add(1);
-  Metrics().ag_bytes.Add(bytes);
   Communicator* c = comm_.get();
   const int rank = rank_;
-  return Issue(obs::EventKind::kAllToAll, opts, "all_to_all", bytes,
+  return Issue(obs::EventKind::kAllToAll, opts, "all_to_all", chunk_numel,
+               (size() - 1) * chunk_numel * 4,
                [c, rank, dst, src, chunk_numel] {
                  return RunAllToAll(c, rank, dst, src, chunk_numel);
                });
+}
+
+Work ProcessGroup::Send(const float* src, int64_t numel, int dst_rank,
+                        const CollectiveOptions& opts) {
+  FSDP_CHECK_MSG(dst_rank >= 0 && dst_rank < size() && dst_rank != rank_,
+                 "send peer " << dst_rank << " out of range for size "
+                              << size() << " (self-send not supported)");
+  Communicator* c = comm_.get();
+  const int r = rank_;
+  return Issue(obs::EventKind::kSend, opts, "send", numel, numel * 4,
+               [c, r, src, numel, dst_rank] {
+                 return RunSend(c, r, src, numel, dst_rank);
+               },
+               dst_rank);
+}
+
+Work ProcessGroup::Recv(float* dst, int64_t numel, int src_rank,
+                        const CollectiveOptions& opts) {
+  FSDP_CHECK_MSG(src_rank >= 0 && src_rank < size() && src_rank != rank_,
+                 "recv peer " << src_rank << " out of range for size "
+                              << size() << " (self-recv not supported)");
+  Communicator* c = comm_.get();
+  const int r = rank_;
+  return Issue(obs::EventKind::kRecv, opts, "recv", numel, numel * 4,
+               [c, r, dst, numel, src_rank] {
+                 return RunRecv(c, r, dst, numel, src_rank);
+               },
+               src_rank);
+}
+
+Work ProcessGroup::Barrier(const CollectiveOptions& opts) {
+  Communicator* c = comm_.get();
+  return Issue(obs::EventKind::kBarrier, opts, "barrier", 0, 0,
+               [c] { return c->BodySync(); });
 }
 
 // -- tensor conveniences ----------------------------------------------------
@@ -1230,8 +1147,8 @@ Work ProcessGroup::AllGatherBase(Tensor dst, const Tensor& src,
                  "AllGatherBase: dst numel " << dst.numel() << " != "
                                              << src.numel() << " * "
                                              << size());
-  return AllGatherBaseImpl(dst.data(), src.data(), src.numel(), opts,
-                           {dst, src});
+  return Pin(AllGatherBase(dst.data(), src.data(), src.numel(), opts),
+             {dst, src});
 }
 
 Work ProcessGroup::ReduceScatter(Tensor dst, const Tensor& src,
@@ -1240,17 +1157,27 @@ Work ProcessGroup::ReduceScatter(Tensor dst, const Tensor& src,
                  "ReduceScatter: src numel " << src.numel() << " != "
                                              << dst.numel() << " * "
                                              << size());
-  return ReduceScatterImpl(dst.data(), src.data(), dst.numel(), opts,
-                           {dst, src});
+  return Pin(ReduceScatter(dst.data(), src.data(), dst.numel(), opts),
+             {dst, src});
 }
 
 Work ProcessGroup::AllReduce(Tensor buf, const CollectiveOptions& opts) {
-  return AllReduceImpl(buf.data(), buf.numel(), opts, {buf});
+  return Pin(AllReduce(buf.data(), buf.numel(), opts), {buf});
 }
 
 Work ProcessGroup::Broadcast(Tensor buf, int root,
                              const CollectiveOptions& opts) {
-  return BroadcastImpl(buf.data(), buf.numel(), root, opts, {buf});
+  return Pin(Broadcast(buf.data(), buf.numel(), root, opts), {buf});
+}
+
+Work ProcessGroup::Send(const Tensor& src, int dst_rank,
+                        const CollectiveOptions& opts) {
+  return Pin(Send(src.data(), src.numel(), dst_rank, opts), {src});
+}
+
+Work ProcessGroup::Recv(Tensor dst, int src_rank,
+                        const CollectiveOptions& opts) {
+  return Pin(Recv(dst.data(), dst.numel(), src_rank, opts), {dst});
 }
 
 // ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@
 //  * all_gather_base / reduce_scatter require *even* per-rank input sizes and
 //    contiguous single-tensor outputs — the efficient path FSDP's
 //    FlatParameter layout is designed to hit with zero copies (Sec 3.2.1).
-//  * all_gather (list-of-outputs) and the uneven-input fallback emulate the
-//    flexible-but-slower ProcessGroup behaviours contrasted in Fig 2(a); the
-//    uneven path really is implemented with per-rank broadcasts.
+//    It is the only AllGather here: the list-output and uneven variants of
+//    Fig 2(a) are modelled by sim::CollectiveModel.
 //  * Reductions run in deterministic rank order, and can optionally quantize
 //    through a reduced-precision dtype to emulate low-precision collectives
 //    (Sec 4.4 "permits running all collectives in the low precision").
@@ -33,11 +32,11 @@
 // comm/compute concurrency in wall-clock time.
 //
 // Per-rank byte/op counters support the traffic-model tests; they are
-// updated at issue time on the calling thread.
+// updated at issue time on the calling thread, in ProcessGroup::Issue.
 //
 // Fault tolerance (ProcessGroupNCCL watchdog / flight-recorder analogue):
 // every op carries a per-rank dense *sequence number* and an OpSignature
-// (kind, label, bytes, root), recorded in a per-rank FlightRecorder ring.
+// (kind, label, numel, root), recorded in a per-rank FlightRecorder ring.
 // Three opt-in layers harden the SPMD contract:
 //
 //   * desync detection (SetDesyncDetection): workers rendezvous before each
@@ -114,9 +113,9 @@ struct WorkState {
   double issue_us = 0;     // enqueued on the calling rank thread
   double start_us = 0;     // comm worker began executing
   double complete_us = 0;  // all barriers passed, results visible
-  int64_t bytes = 0;       // payload of the collective (its trace span bytes)
-  /// Tensors pinned until completion (async staging buffers and the
-  /// convenience-overload src/dst); released by the worker on completion.
+  int64_t bytes = 0;       // this rank's wire bytes (CommStats, trace span)
+  /// The Tensor overloads' operands, pinned until completion; released by
+  /// the worker on completion.
   std::vector<Tensor> keepalive;
 };
 
@@ -151,7 +150,7 @@ class Work {
   double issue_us() const;
   double start_us() const;
   double complete_us() const;
-  /// Payload bytes the collective moves (0 for default-constructed).
+  /// Bytes this rank moves on the wire (0 for default-constructed).
   int64_t bytes() const;
 
  private:
@@ -261,7 +260,6 @@ class Communicator {
   /// timeout is set. The destructor aborts a faulted communicator that was
   /// never aborted, so parked workers always get released.
   void InjectFault(FaultSpec spec);
-  void ClearFaults() { injector_.Clear(); }
 
   /// Publishes the current training step to the fault injector so
   /// step-keyed FaultSpecs (`spec.step >= 0`) can fire; call at each step
@@ -313,18 +311,11 @@ class Communicator {
     /// The rank's share of the collective; returns false when it bailed out
     /// on a communicator abort (the op then completes with the abort Status).
     std::function<bool()> body;
-    std::shared_ptr<WorkState> work;
+    std::shared_ptr<WorkState> work;  // also carries the wire bytes
     int trace_rank = 0;               // issuer's global rank (attribution)
-    obs::EventKind kind = obs::EventKind::kMarker;
-    std::string label;
-    int64_t bytes = 0;
     int64_t seq = -1;                 // per-rank dense sequence number
-    OpSignature sig;                  // rendezvous identity
+    OpSignature sig;                  // identity: kind, label, numel, root
     double timeout_ms = 0;            // effective watchdog deadline (0 = off)
-    /// Point-to-point op (Send/Recv): only two ranks participate, so the
-    /// all-rank desync rendezvous is skipped (it would deadlock) — the
-    /// watchdog still covers it via the per-rank progress table.
-    bool p2p = false;
   };
 
   /// Point-to-point message channel for one (src, dst) rank pair, created
@@ -427,8 +418,6 @@ class Communicator {
   int size_;
   Barrier barrier_;
   std::vector<const float*> src_slots_;
-  std::vector<float*> dst_slots_;
-  std::vector<int64_t> count_slots_;
   std::vector<float> scratch_;  // all_reduce staging
   std::mutex scratch_mu_;
   std::vector<CommStats> rank_stats_;  // shared by all handles of a rank
@@ -488,15 +477,6 @@ class ProcessGroup {
   /// `dst` receives size()*numel_per_rank elements in rank order.
   Work AllGatherBase(float* dst, const float* src, int64_t numel_per_rank,
                      const CollectiveOptions& opts = {});
-  /// List-output AllGather (PyTorch ProcessGroup.all_gather): identical data
-  /// movement plus the extra copies through a consolidated buffer.
-  Work AllGather(const std::vector<float*>& dsts, const float* src,
-                 int64_t numel_per_rank, const CollectiveOptions& opts = {});
-  /// Uneven-size AllGather emulated with per-rank broadcasts (the slow path
-  /// of Fig 2(a)). `counts[k]` elements come from rank k into dsts[k].
-  Work AllGatherUneven(const std::vector<float*>& dsts, const float* src,
-                       const std::vector<int64_t>& counts,
-                       const CollectiveOptions& opts = {});
 
   /// NCCL-style ReduceScatter: every rank contributes size()*numel_per_rank
   /// elements; `dst` receives the reduction of chunk `rank()`.
@@ -535,8 +515,9 @@ class ProcessGroup {
   /// watchdog/desync machinery. Synchronous unless opts.async.
   Work Barrier(const CollectiveOptions& opts = {});
 
-  // Tensor conveniences (operate on the flat contents). These pin src/dst
-  // in the Work until completion, so async callers may drop temporaries.
+  // Tensor conveniences (operate on the flat contents): a size check, the
+  // float* call, and src/dst pinned in the Work until completion, so async
+  // callers may drop temporaries.
   Work AllGatherBase(Tensor dst, const Tensor& src,
                      const CollectiveOptions& opts = {});
   Work ReduceScatter(Tensor dst, const Tensor& src,
@@ -560,34 +541,19 @@ class ProcessGroup {
   const std::shared_ptr<Communicator>& communicator() const { return comm_; }
 
  private:
-  CommStats& mutable_stats() { return comm_->rank_stats_[rank_]; }
-
-  /// Enqueues `body` onto this rank's comm worker as a `kind` span carrying
-  /// `bytes` of payload; waits for completion unless opts.async. `keepalive`
-  /// tensors stay pinned in the Work until the worker completes the op.
-  /// `root` is the broadcast root for signature purposes (-1 otherwise).
+  /// The one place an op's identity and traffic are decided. Stamps the
+  /// OpSignature {kind, tag or `default_label`, numel, root} every rank must
+  /// agree on (`numel` is the payload size all ranks share, `root` the
+  /// broadcast root or p2p peer, -1 otherwise), counts this rank's
+  /// `wire_bytes` into CommStats and the comm.* counters, and enqueues
+  /// `body` onto this rank's comm worker; waits for completion unless
+  /// opts.async.
   Work Issue(obs::EventKind kind, const CollectiveOptions& opts,
-             const char* default_label, int64_t bytes,
-             std::function<bool()> body, std::vector<Tensor> keepalive = {},
-             int root = -1, bool p2p = false);
-
-  // Pointer entry points + tensor conveniences funnel through these so the
-  // tensor overloads can pin their operands.
-  Work AllGatherBaseImpl(float* dst, const float* src, int64_t numel_per_rank,
-                         const CollectiveOptions& opts,
-                         std::vector<Tensor> keepalive);
-  Work ReduceScatterImpl(float* dst, const float* src, int64_t numel_per_rank,
-                         const CollectiveOptions& opts,
-                         std::vector<Tensor> keepalive);
-  Work AllReduceImpl(float* buf, int64_t numel, const CollectiveOptions& opts,
-                     std::vector<Tensor> keepalive);
-  Work BroadcastImpl(float* buf, int64_t numel, int root,
-                     const CollectiveOptions& opts,
-                     std::vector<Tensor> keepalive);
-  Work SendImpl(const float* src, int64_t numel, int dst_rank,
-                const CollectiveOptions& opts, std::vector<Tensor> keepalive);
-  Work RecvImpl(float* dst, int64_t numel, int src_rank,
-                const CollectiveOptions& opts, std::vector<Tensor> keepalive);
+             const char* default_label, int64_t numel, int64_t wire_bytes,
+             std::function<bool()> body, int root = -1);
+  /// Pins `operands` in `work` until the op completes (nothing to pin once
+  /// it has).
+  static Work Pin(Work work, std::vector<Tensor> operands);
 
   // Raw per-rank collective bodies; run on the comm-worker threads only.
   // Static (no ProcessGroup capture) so an async op enqueued through a

@@ -162,6 +162,54 @@ bool CompleteSet(const std::map<int, std::set<int>>& worlds, int* world_out) {
   return false;
 }
 
+/// Checks unit `u` of an N-file set before anything is allocated or sliced
+/// from it: header values come straight from disk, so a corrupt size,
+/// offset or dim must become a Status, not a giant allocation or a failed
+/// slice check.
+Status CheckUnitLayout(const std::vector<ShardFile>& files, size_t u) {
+  const UnitShard& proto = files[0].units[u];
+  const int64_t world = static_cast<int64_t>(files.size());
+  if (proto.padded_numel < 0 || proto.padded_numel % world != 0) {
+    return Status::Invalid("unit '" + proto.name + "' padded size " +
+                           std::to_string(proto.padded_numel) +
+                           " is not divisible by the writer world size");
+  }
+  const int64_t chunk = proto.padded_numel / world;
+  for (const ShardFile& file : files) {
+    const UnitShard& unit = file.units[u];
+    if (unit.name != proto.name || unit.padded_numel != proto.padded_numel ||
+        unit.shard.numel() != chunk) {
+      return Status::Invalid("unit '" + proto.name +
+                             "' layout mismatch across ranks");
+    }
+    if (unit.has_optim &&
+        (unit.avg_shard.numel() != chunk || unit.sq_shard.numel() != chunk)) {
+      return Status::Invalid("optimizer shard size mismatch in unit '" +
+                             proto.name + "'");
+    }
+  }
+  for (const ParamMeta& p : proto.params) {
+    const std::string where = "param '" + p.fqn + "' of unit '" + proto.name +
+                              "' (offset " + std::to_string(p.offset) +
+                              ", padded numel " +
+                              std::to_string(proto.padded_numel) + ")";
+    if (p.offset < 0 || p.offset > proto.padded_numel) {
+      return Status::Invalid(where + " starts outside the flat");
+    }
+    // numel <= room throughout, so the product cannot overflow.
+    const int64_t room = proto.padded_numel - p.offset;
+    int64_t numel = 1;
+    for (int64_t d : p.shape) {
+      if (d < 0) return Status::Invalid(where + " has a negative dim");
+      if (d > 0 && numel > room / d) {
+        return Status::Invalid(where + " runs past the end of the flat");
+      }
+      numel *= d;
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string ShardFileName(const std::string& stem, int64_t step, int rank,
@@ -273,13 +321,9 @@ Result<AssembledCheckpoint> AssembleShardedCheckpoint(const std::string& stem,
   out.world_size = world;
   out.train_step = step;
   for (size_t u = 0; u < files[0].units.size(); ++u) {
+    FSDP_RETURN_NOT_OK(CheckUnitLayout(files, u));
     const UnitShard& proto = files[0].units[u];
     const int64_t chunk = proto.padded_numel / world;
-    if (chunk * world != proto.padded_numel) {
-      return Status::Invalid("unit '" + proto.name +
-                             "' padded size is not divisible by the writer "
-                             "world size");
-    }
     // Concatenate the N shards back into the writer world's padded flats.
     Tensor flat = Tensor::Empty({proto.padded_numel});
     Tensor flat_avg, flat_sq;
@@ -287,11 +331,6 @@ Result<AssembledCheckpoint> AssembleShardedCheckpoint(const std::string& stem,
     int64_t optim_step = 0;
     for (int r = 0; r < world; ++r) {
       const UnitShard& unit = files[static_cast<size_t>(r)].units[u];
-      if (unit.name != proto.name || unit.padded_numel != proto.padded_numel ||
-          unit.shard.numel() != chunk) {
-        return Status::Invalid("unit '" + proto.name +
-                               "' layout mismatch across ranks");
-      }
       std::memcpy(flat.data() + r * chunk, unit.shard.data(),
                   static_cast<size_t>(chunk) * 4);
       optim = optim && unit.has_optim;
@@ -301,11 +340,6 @@ Result<AssembledCheckpoint> AssembleShardedCheckpoint(const std::string& stem,
       flat_sq = Tensor::Empty({proto.padded_numel});
       for (int r = 0; r < world; ++r) {
         const UnitShard& unit = files[static_cast<size_t>(r)].units[u];
-        if (unit.avg_shard.numel() != chunk ||
-            unit.sq_shard.numel() != chunk) {
-          return Status::Invalid("optimizer shard size mismatch in unit '" +
-                                 proto.name + "'");
-        }
         std::memcpy(flat_avg.data() + r * chunk, unit.avg_shard.data(),
                     static_cast<size_t>(chunk) * 4);
         std::memcpy(flat_sq.data() + r * chunk, unit.sq_shard.data(),

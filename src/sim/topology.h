@@ -25,6 +25,10 @@
 
 namespace fsdp::sim {
 
+/// A100 HBM bandwidth in bytes/us, the rate of memory-bound phases (the
+/// optimizer step) in the simulator and in the autotuner's envelope.
+constexpr double kHbmBytesPerUs = 1555.0 * 1e9 / 1e6;
+
 struct SimConstants {
   // --- compute (A100) ---
   double peak_bf16_tflops = 312.0;

@@ -17,9 +17,6 @@ namespace {
 constexpr int kComputeStream = 1;
 constexpr int kCommStream = 2;
 
-// A100 HBM bandwidth for memory-bound phases (optimizer step).
-constexpr double kHbmBytesPerUs = 1555.0 * 1e9 / 1e6;
-
 // Per-unit cost/state table — the *cost* side of the simulation. The
 // *schedule* side (instruction order and dependencies) comes from the
 // interpreted plan::StepPlan.
@@ -722,7 +719,7 @@ SimMetrics FsdpSimulator::Run() {
           // host-memory bandwidth.
           const double opt_bw = cfg_.cpu_offload_params
                                     ? c_.host_mem_gbps * 1e3
-                                    : kHbmBytesPerUs;
+                                    : sim::kHbmBytesPerUs;
           const double opt_us =
               7.0 * shard_total * 4 / opt_bw + c_.kernel_launch_gpu_us;
           params_ready = compute.Launch(cpu, opt_us, {last_comm_end},
@@ -913,7 +910,7 @@ SimMetrics DdpSimulator::Run() {
         }
 
         case plan::Op::kOptimStep: {
-          const double opt_us = 7.0 * total_params * 4 / kHbmBytesPerUs +
+          const double opt_us = 7.0 * total_params * 4 / sim::kHbmBytesPerUs +
                                 c_.kernel_launch_gpu_us;
           done[ip] = compute.Launch(cpu, opt_us, {last_comm_end});
           cpu = std::max({cpu, done[ip], comm.available_at()});

@@ -9,11 +9,6 @@ namespace fsdp::tune {
 
 namespace {
 
-// A100 HBM bandwidth for the memory-bound optimizer step (the simulator's
-// constant; the envelope charges the same bytes at the same rate, minus the
-// launch overhead).
-constexpr double kHbmBytesPerUs = 1555.0 * 1e9 / 1e6;
-
 /// Raw link bandwidth in bytes/us for a group — the ceiling of
 /// CollectiveModel::EffectiveBwBytesPerUs (saturation and straggler terms
 /// only derate it), which is what makes moved/raw a true lower bound.
@@ -160,9 +155,11 @@ Envelope ComputeEnvelope(const CompiledCandidate& cc, const TuneInputs& in) {
         }
         case plan::Op::kOptimStep: {
           if (!count) break;
+          // The simulator's bytes at the simulator's rate, minus its launch
+          // overhead.
           const double opt_bw = cc.config.cpu_offload_params
                                     ? c.host_mem_gbps * 1e3
-                                    : kHbmBytesPerUs;
+                                    : sim::kHbmBytesPerUs;
           compute += 7.0 * shard_total_numel * 4 / opt_bw;
           break;
         }

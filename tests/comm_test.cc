@@ -1,6 +1,6 @@
 // Collective-communication tests: correctness of every collective against a
-// naive reference, subgroup (DeviceMesh) structure, uneven all-gather, and
-// byte accounting — across several world sizes via parameterized suites.
+// naive reference, subgroup (DeviceMesh) structure, and byte accounting —
+// across several world sizes via parameterized suites.
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -30,46 +30,6 @@ TEST_P(CollectiveTest, AllGatherBase) {
     }
     ASSERT_EQ(pg.stats().allgather_ops, 1);
     ASSERT_EQ(pg.stats().allgather_bytes, (w - 1) * n * 4);
-  });
-}
-
-TEST_P(CollectiveTest, AllGatherListVariant) {
-  const int w = GetParam();
-  auto comm = std::make_shared<comm::Communicator>(w);
-  RunOnRanks(w, [&](int r) {
-    comm::ProcessGroup pg(comm, r);
-    const int64_t n = 3;
-    std::vector<float> src(n, static_cast<float>(r));
-    std::vector<std::vector<float>> outs(w, std::vector<float>(n));
-    std::vector<float*> ptrs;
-    for (auto& o : outs) ptrs.push_back(o.data());
-    pg.AllGather(ptrs, src.data(), n);
-    for (int k = 0; k < w; ++k) {
-      for (float v : outs[k]) ASSERT_EQ(v, static_cast<float>(k));
-    }
-  });
-}
-
-TEST_P(CollectiveTest, AllGatherUneven) {
-  const int w = GetParam();
-  auto comm = std::make_shared<comm::Communicator>(w);
-  RunOnRanks(w, [&](int r) {
-    comm::ProcessGroup pg(comm, r);
-    // Rank k contributes k+1 elements with value k.
-    std::vector<int64_t> counts(w);
-    for (int k = 0; k < w; ++k) counts[k] = k + 1;
-    std::vector<float> src(static_cast<size_t>(r + 1),
-                           static_cast<float>(r));
-    std::vector<std::vector<float>> outs;
-    std::vector<float*> ptrs;
-    for (int k = 0; k < w; ++k) {
-      outs.emplace_back(static_cast<size_t>(counts[k]), -1.f);
-    }
-    for (auto& o : outs) ptrs.push_back(o.data());
-    pg.AllGatherUneven(ptrs, src.data(), counts);
-    for (int k = 0; k < w; ++k) {
-      for (float v : outs[k]) ASSERT_EQ(v, static_cast<float>(k));
-    }
   });
 }
 

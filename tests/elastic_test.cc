@@ -7,7 +7,10 @@
 // through a planned resize with fresh joiners.
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -238,6 +241,104 @@ TEST(ShardedCkptTest, IncompleteSetsAreInvisible) {
   EXPECT_EQ(latest->train_step, 0);
   // Asking for the incomplete step explicitly fails.
   EXPECT_FALSE(elastic::AssembleShardedCheckpoint(stem, 5).ok());
+  RemoveShardFiles(stem);
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// Byte positions of the first unit's padded size and of its first param's
+/// first dim and offset, found by walking the shard-file header format.
+struct FirstParamFields {
+  size_t padded_numel = 0;
+  size_t first_dim = 0;
+  size_t offset = 0;
+};
+
+FirstParamFields LocateFirstParam(const std::string& bytes) {
+  auto u32_at = [&](size_t pos) {
+    uint32_t v = 0;
+    std::memcpy(&v, bytes.data() + pos, 4);
+    return v;
+  };
+  FirstParamFields f;
+  size_t pos = 8 + 4 + 4 + 4 + 8 + 4;  // magic .. n_units
+  pos += 4 + u32_at(pos);             // unit name
+  pos += 8;                           // total_numel
+  f.padded_numel = pos;
+  pos += 8 + 4;                       // padded_numel, n_params
+  pos += 4 + u32_at(pos);             // fqn
+  const uint32_t ndim = u32_at(pos);
+  EXPECT_GE(ndim, 1u);
+  f.first_dim = pos + 4;
+  f.offset = f.first_dim + 8 * ndim;
+  return f;
+}
+
+std::string WithI64(std::string bytes, size_t pos, int64_t v) {
+  std::memcpy(bytes.data() + pos, &v, 8);
+  return bytes;
+}
+
+// Corrupt header values come back as a Status: nothing is sliced or
+// allocated from an unchecked offset, dim or size.
+TEST(ShardedCkptTest, CorruptFilesReturnStatus) {
+  const std::string stem = TempStem("corrupt");
+  RemoveShardFiles(stem);
+  const int w = 2;
+  {
+    comm::DeviceMesh mesh(w, w);
+    RunOnRanks(w, [&](int r) {
+      auto state =
+          core::FullyShard(MakeModel(42), mesh, r, DrillFsdpOptions());
+      ASSERT_TRUE(
+          elastic::SaveShardedCheckpoint(stem, 0, *state, nullptr).ok());
+    });
+  }
+  ASSERT_TRUE(elastic::AssembleShardedCheckpoint(stem, 0).ok());
+  const std::string rank0 = elastic::ShardFileName(stem, 0, 0, w);
+  const std::string rank1 = elastic::ShardFileName(stem, 0, 1, w);
+  const std::string good0 = ReadBytes(rank0);
+  const std::string good1 = ReadBytes(rank1);
+  ASSERT_GT(good1.size(), 64u);
+
+  // Rank 1's file cut short anywhere.
+  const size_t stride = std::max<size_t>(1, good1.size() / 256);
+  for (size_t len = 0; len < good1.size(); len += stride) {
+    WriteBytes(rank1, good1.substr(0, len));
+    EXPECT_FALSE(elastic::AssembleShardedCheckpoint(stem, 0).ok())
+        << "rank 1 truncated to " << len << " bytes";
+  }
+  WriteBytes(rank1, good1);
+
+  // Rank 0's layout is the one assembly slices with.
+  const FirstParamFields f = LocateFirstParam(good0);
+  int64_t padded = 0;
+  std::memcpy(&padded, good0.data() + f.padded_numel, 8);
+  const std::vector<std::pair<const char*, std::string>> corruptions = {
+      {"offset past the end", WithI64(good0, f.offset, padded + 1)},
+      {"offset at the end", WithI64(good0, f.offset, padded)},
+      {"negative offset", WithI64(good0, f.offset, -1)},
+      {"negative dim", WithI64(good0, f.first_dim, -1)},
+      {"dim overflowing numel", WithI64(good0, f.first_dim, int64_t{1} << 62)},
+      {"padded numel 2^62", WithI64(good0, f.padded_numel, int64_t{1} << 62)},
+      {"negative padded numel", WithI64(good0, f.padded_numel, -2)},
+  };
+  for (const auto& [what, bytes] : corruptions) {
+    WriteBytes(rank0, bytes);
+    auto assembled = elastic::AssembleShardedCheckpoint(stem, 0);
+    EXPECT_FALSE(assembled.ok()) << what;
+    EXPECT_EQ(assembled.status().code(), StatusCode::kInvalidArgument)
+        << what << ": " << assembled.status().ToString();
+  }
+  WriteBytes(rank0, good0);
+  EXPECT_TRUE(elastic::AssembleShardedCheckpoint(stem, 0).ok());
   RemoveShardFiles(stem);
 }
 

@@ -245,6 +245,67 @@ TEST(FaultTest, DesyncDetectionNamesSkippingRank) {
   EXPECT_GE(Counter("comm.desyncs"), desyncs_before + 1);
 }
 
+// Every rank agrees on a broadcast's identity even though only non-roots
+// receive bytes: the desync rendezvous must let it through.
+TEST(FaultTest, BroadcastPassesDesyncDetection) {
+  UseTempArtifactDir();
+  for (const int w : {2, 4}) {
+    auto comm = std::make_shared<comm::Communicator>(w);
+    comm->SetName("bcast" + std::to_string(w));
+    comm->SetDesyncDetection(true);
+    RunOnRanks(w, [&](int r) {
+      comm::ProcessGroup pg(comm, r);
+      std::vector<float> buf(8, r == 0 ? 7.f : -1.f);
+      ASSERT_TRUE(pg.Broadcast(buf.data(), 8, /*root=*/0).WaitStatus().ok())
+          << "w=" << w << " rank " << r;
+      for (float v : buf) EXPECT_EQ(v, 7.f) << "w=" << w << " rank " << r;
+    });
+    EXPECT_FALSE(comm->aborted()) << comm->abort_status().message();
+  }
+}
+
+// FullyShard's construction broadcasts module states (sync_module_states);
+// a desync-checked mesh must train through it.
+TEST(FaultTest, FullyShardTrainsOnDesyncCheckedMesh) {
+  UseTempArtifactDir();
+  const int w = 4;
+  comm::DeviceMesh mesh(w, w);
+  mesh.SetDesyncDetection(true);
+  RunOnRanks(w, [&](int r) {
+    auto model = MakeModel(42);
+    core::FsdpOptions opts;
+    opts.auto_wrap_policy = core::ModuleTypePolicy({"TransformerBlock"});
+    auto state = core::FullyShard(model, mesh, r, opts);
+    Tensor loss = ops::CrossEntropy((*model)(RankTokens(r)), RankTargets(r));
+    autograd::RunBackward(loss);
+    EXPECT_TRUE(state->status().ok())
+        << "rank " << r << ": " << state->status().message();
+  });
+  EXPECT_FALSE(mesh.WorldGroup(0).communicator()->aborted());
+}
+
+TEST(FaultTest, DesyncDiagnosisNamesBothSizesWhenOnlySizeDiffers) {
+  UseTempArtifactDir();
+  const int w = 4;
+  auto comm = std::make_shared<comm::Communicator>(w);
+  comm->SetName("sizetest");
+  comm->SetDesyncDetection(true);
+  RunOnRanks(w, [&](int r) {
+    comm::ProcessGroup pg(comm, r);
+    // Room for either size, so a missed mismatch cannot read out of bounds.
+    std::vector<float> buf(16, 1.f);
+    const int64_t numel = r == 3 ? 9 : 8;
+    EXPECT_FALSE(pg.AllReduce(buf.data(), numel).WaitStatus().ok())
+        << "rank " << r;
+  });
+  ASSERT_TRUE(comm->aborted());
+  const comm::WatchdogDiagnosis diag = comm->last_diagnosis();
+  EXPECT_TRUE(diag.desync);
+  EXPECT_EQ(diag.culprit_rank, 3);
+  EXPECT_TRUE(Contains(diag.reason, "numel 9")) << diag.reason;
+  EXPECT_TRUE(Contains(diag.reason, "numel 8")) << diag.reason;
+}
+
 TEST(FaultTest, CrashedRankDiagnosed) {
   UseTempArtifactDir();
   const int w = 4;
