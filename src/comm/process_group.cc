@@ -1076,7 +1076,7 @@ Work ProcessGroup::AllReduce(float* buf, int64_t numel,
   const DType dt = opts.comm_dtype;
   // Ring all-reduce moves 2*(w-1)/w of the buffer per rank.
   return Issue(obs::EventKind::kAllReduce, opts, "all_reduce", numel,
-               2 * (w - 1) * (numel / w) * 4,
+               2 * (w - 1) * numel * 4 / w,
                [c, rank, buf, numel, op, dt] {
                  return RunAllReduce(c, rank, buf, numel, op, dt);
                });

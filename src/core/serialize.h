@@ -104,19 +104,19 @@ class BinaryReader {
       ok_ = false;
       return Tensor();
     }
+    // Each dim is checked against the bound before it multiplies numel, so
+    // a corrupt shape fails here instead of wrapping to a small numel.
+    constexpr int64_t kMaxNumel = 1LL << 32;
     Shape shape;
     int64_t numel = 1;
     for (uint32_t d = 0; d < ndim; ++d) {
-      shape.push_back(I64());
-      if (!ok_ || shape.back() < 0) {
+      const int64_t dim = I64();
+      if (!ok_ || dim < 0 || (dim > 0 && numel > kMaxNumel / dim)) {
         ok_ = false;
         return Tensor();
       }
-      numel *= shape.back();
-    }
-    if (numel > (1LL << 32)) {
-      ok_ = false;
-      return Tensor();
+      shape.push_back(dim);
+      numel *= dim;
     }
     Tensor t = Tensor::Empty(shape, dtype);
     Raw(t.data(), static_cast<size_t>(numel) * 4);

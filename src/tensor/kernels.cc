@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 namespace fsdp::kernels {
 
-void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
-          int64_t k, bool trans_a, bool trans_b, bool accumulate) {
+void GemmScalar(const float* a, const float* b, float* c, int64_t m,
+                int64_t n, int64_t k, bool trans_a, bool trans_b,
+                bool accumulate) {
   if (!accumulate) std::memset(c, 0, static_cast<size_t>(m * n) * 4);
   // Index helpers: A logical (m x k), B logical (k x n).
   auto a_at = [&](int64_t i, int64_t p) {
@@ -42,6 +44,134 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
       }
     }
   }
+}
+
+namespace {
+
+// Packed-panel GEMM for CPUs with AVX2. B is packed into one [k][kNr] panel
+// at a time and each micro-kernel call computes an R x kNr block of C in
+// vector registers, keeping GemmScalar's per-element operation order (see
+// Gemm in kernels.h). The target enables AVX2 but not FMA, so no multiply
+// and add can be contracted.
+typedef float v8 __attribute__((vector_size(32)));
+constexpr int64_t kMr = 4;   // rows of C per micro-kernel call
+constexpr int64_t kNr = 16;  // columns of C per panel (two v8)
+
+#define FSDP_AVX2 __attribute__((target("avx2")))
+
+FSDP_AVX2 inline v8 Load(const float* p) {
+  v8 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+FSDP_AVX2 inline void Store(float* p, v8 v) { std::memcpy(p, &v, sizeof v); }
+
+// C block (R x kNr at c, row stride ldc) against the packed panel. A(i,p) is
+// a[i * ars + p * acs].
+template <int R, bool kTransB>
+FSDP_AVX2 void MicroKernel(const float* a, int64_t ars, int64_t acs,
+                           const float* panel, int64_t k, float* c,
+                           int64_t ldc) {
+  v8 acc[R][2];
+  for (int r = 0; r < R; ++r) {
+    acc[r][0] = kTransB ? v8{} : Load(c + r * ldc);
+    acc[r][1] = kTransB ? v8{} : Load(c + r * ldc + 8);
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    const v8 b0 = Load(panel + p * kNr);
+    const v8 b1 = Load(panel + p * kNr + 8);
+    const float* ap = a + p * acs;
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const float av = ap[r * ars];
+      if (!kTransB && av == 0.f) continue;
+      acc[r][0] = acc[r][0] + av * b0;
+      acc[r][1] = acc[r][1] + av * b1;
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    if (kTransB) {
+      acc[r][0] = Load(c + r * ldc) + acc[r][0];
+      acc[r][1] = Load(c + r * ldc + 8) + acc[r][1];
+    }
+    Store(c + r * ldc, acc[r][0]);
+    Store(c + r * ldc + 8, acc[r][1]);
+  }
+}
+
+// kMicroKernels[trans_b][rows - 1].
+using MicroKernelFn = void (*)(const float*, int64_t, int64_t, const float*,
+                               int64_t, float*, int64_t);
+constexpr MicroKernelFn kMicroKernels[2][kMr] = {
+    {MicroKernel<1, false>, MicroKernel<2, false>, MicroKernel<3, false>,
+     MicroKernel<4, false>},
+    {MicroKernel<1, true>, MicroKernel<2, true>, MicroKernel<3, true>,
+     MicroKernel<4, true>}};
+
+FSDP_AVX2 void GemmPacked(const float* a, const float* b, float* c, int64_t m,
+                          int64_t n, int64_t k, bool trans_a, bool trans_b) {
+  // One panel per thread, reused across calls: at most k * kNr floats for
+  // the largest k the thread has seen.
+  thread_local std::vector<float> panel;
+  if (panel.size() < static_cast<size_t>(k * kNr)) {
+    panel.resize(static_cast<size_t>(k * kNr));
+  }
+  const int64_t ars = trans_a ? 1 : k, acs = trans_a ? m : 1;
+  const MicroKernelFn* kernel = kMicroKernels[trans_b];
+  for (int64_t j0 = 0; j0 < n; j0 += kNr) {
+    const int64_t nc = std::min(kNr, n - j0);
+    // Pack B(:, j0 .. j0+nc) as panel[p][jj], zero-padded to kNr columns.
+    float* pp = panel.data();
+    if (nc < kNr) std::fill(pp, pp + k * kNr, 0.f);
+    if (trans_b) {  // B stored (n x k)
+      for (int64_t jj = 0; jj < nc; ++jj) {
+        const float* brow = b + (j0 + jj) * k;
+        for (int64_t p = 0; p < k; ++p) pp[p * kNr + jj] = brow[p];
+      }
+    } else {  // B stored (k x n)
+      for (int64_t p = 0; p < k; ++p) {
+        std::memcpy(pp + p * kNr, b + p * n + j0, static_cast<size_t>(nc) * 4);
+      }
+    }
+    for (int64_t i0 = 0; i0 < m; i0 += kMr) {
+      const int64_t rows = std::min(kMr, m - i0);
+      const float* ablk = a + i0 * ars;
+      if (nc == kNr) {
+        kernel[rows - 1](ablk, ars, acs, pp, k, c + i0 * n + j0, n);
+        continue;
+      }
+      // Ragged last panel: run the block on a full-width copy of C.
+      float tile[kMr * kNr] = {};
+      for (int64_t r = 0; r < rows; ++r) {
+        std::memcpy(tile + r * kNr, c + (i0 + r) * n + j0,
+                    static_cast<size_t>(nc) * 4);
+      }
+      kernel[rows - 1](ablk, ars, acs, pp, k, tile, kNr);
+      for (int64_t r = 0; r < rows; ++r) {
+        std::memcpy(c + (i0 + r) * n + j0, tile + r * kNr,
+                    static_cast<size_t>(nc) * 4);
+      }
+    }
+  }
+}
+
+#undef FSDP_AVX2
+
+}  // namespace
+
+void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
+          int64_t k, bool trans_a, bool trans_b, bool accumulate) {
+  static const bool avx2 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  if (!avx2) {
+    GemmScalar(a, b, c, m, n, k, trans_a, trans_b, accumulate);
+    return;
+  }
+  if (!accumulate) std::memset(c, 0, static_cast<size_t>(m * n) * 4);
+  GemmPacked(a, b, c, m, n, k, trans_a, trans_b);
 }
 
 void Add(const float* a, const float* b, float* out, int64_t n) {

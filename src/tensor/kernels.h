@@ -2,8 +2,9 @@
 //
 // These are the "CUDA kernels" of the functional layer: pure math with no
 // autograd knowledge. The autograd ops (autograd/ops.h) compose forward and
-// backward passes from these primitives. Kept simple and cache-friendly; the
-// library's performance claims live in the simulator, not here.
+// backward passes from these primitives. Kept simple and cache-friendly;
+// only Gemm, where a training step spends most of its time, has a vectorized
+// path.
 #pragma once
 
 #include <cstdint>
@@ -13,8 +14,20 @@ namespace fsdp::kernels {
 /// General matrix multiply: C[m,n] (+)= A op B with optional transposes.
 /// A is (m x k) if !trans_a else (k x m); B is (k x n) if !trans_b else
 /// (n x k). If `accumulate` is false, C is overwritten.
+///
+/// On CPUs with AVX2 (checked once, at run time) this runs a packed-panel
+/// micro-kernel; elsewhere it runs GemmScalar. Both give bit-identical
+/// results for every input, because each output element sees the same
+/// operations in the same order, with no fused multiply-add:
+///  - !trans_b: c += a(i,p) * b(p,j) for ascending p, skipping terms with
+///    a(i,p) == 0 (so inf/NaN in B rows that only meet zeros never reach C);
+///  - trans_b: acc = 0, acc += a(i,p) * b(p,j) for ascending p, then c += acc.
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
           int64_t k, bool trans_a, bool trans_b, bool accumulate);
+/// The portable loops behind Gemm on CPUs without AVX2; same contract.
+void GemmScalar(const float* a, const float* b, float* c, int64_t m,
+                int64_t n, int64_t k, bool trans_a, bool trans_b,
+                bool accumulate);
 
 /// out[i] = a[i] + b[i].
 void Add(const float* a, const float* b, float* out, int64_t n);

@@ -249,5 +249,23 @@ TEST(CommStats, TracksBytesAndOps) {
   });
 }
 
+// A ring AllReduce moves 2*(w-1)/w of the buffer per rank. The count rounds
+// once, after multiplying, so buffers smaller than the world still count.
+TEST(CommStats, AllReduceBytesCountSmallBuffers) {
+  const int w = 4;
+  auto comm = std::make_shared<comm::Communicator>(w);
+  RunOnRanks(w, [&](int r) {
+    comm::ProcessGroup pg(comm, r);
+    for (int64_t numel : {1, 3, 7}) {
+      pg.ResetStats();
+      Tensor t = Tensor::Ones({numel});
+      pg.AllReduce(t);
+      ASSERT_EQ(pg.stats().allreduce_bytes, 2 * (w - 1) * numel * 4 / w)
+          << "numel " << numel;
+      ASSERT_GT(pg.stats().allreduce_bytes, 0) << "numel " << numel;
+    }
+  });
+}
+
 }  // namespace
 }  // namespace fsdp

@@ -73,6 +73,32 @@ TEST(SerializeTest, RejectsGarbageAndTruncation) {
   std::remove(path.c_str());
 }
 
+// A shape whose product overflows int64 must fail the read, not wrap to a
+// small numel and reach Tensor::Empty with a bogus shape.
+TEST(SerializeTest, RejectsShapesWhoseNumelOverflows) {
+  const std::string path = TempPath("overflow.ckpt");
+  const std::vector<std::vector<int64_t>> shapes = {{1LL << 32, 1LL << 32},
+                                                    {1LL << 62, 4}};
+  for (const std::vector<int64_t>& dims : shapes) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    core::BinaryWriter w(f);
+    w.Raw("FSDPCKPT", 8);
+    w.U32(1);  // version
+    w.U32(1);  // entries
+    w.U8(0);   // state-dict tensor
+    w.Str("w");
+    w.U8(static_cast<uint8_t>(DType::kF32));
+    w.U32(static_cast<uint32_t>(dims.size()));
+    for (int64_t d : dims) w.I64(d);
+    ASSERT_TRUE(w.ok());
+    std::fclose(f);
+    EXPECT_FALSE(core::LoadCheckpoint(path).ok())
+        << "dims " << dims[0] << " x " << dims[1];
+  }
+  std::remove(path.c_str());
+}
+
 TEST(SerializeTest, TrainSaveRestartResumeThroughDisk) {
   // The full loop across a simulated process restart: train at W=2, save to
   // a real file, "restart" with fresh objects, load, resume; match local.

@@ -1,6 +1,8 @@
 // Unit tests for the tensor core: dtypes, storage, views, in-place math.
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -217,6 +219,99 @@ TEST(KernelsTest, GemmAllTransposeVariants) {
   // Accumulate doubles the result.
   kernels::Gemm(a.data(), b.data(), c, 2, 2, 3, false, false, true);
   EXPECT_FLOAT_EQ(c[0], 2 * expect[0]);
+}
+
+// Runs the dispatched Gemm and GemmScalar on the same inputs and compares C
+// byte for byte. A has about a third exact zeros and C some -0 entries. With
+// `nonfinite`, every fifth p has A(:,p) == 0 and B(p,:) holding inf and NaN.
+void ExpectGemmBitwise(Rng& rng, int64_t m, int64_t n, int64_t k, bool trans_a,
+                       bool trans_b, bool accumulate, bool nonfinite) {
+  std::vector<float> a(static_cast<size_t>(m * k));
+  std::vector<float> b(static_cast<size_t>(k * n));
+  std::vector<float> c(static_cast<size_t>(m * n));
+  for (float& x : a) {
+    x = rng.NextU64() % 3 == 0 ? 0.f
+                               : static_cast<float>(rng.NextUniform(-1, 1));
+  }
+  for (float& x : b) x = static_cast<float>(rng.NextUniform(-1, 1));
+  for (float& x : c) {
+    x = rng.NextU64() % 4 == 0 ? -0.f
+                               : static_cast<float>(rng.NextUniform(-1, 1));
+  }
+  if (nonfinite) {
+    for (int64_t p = 0; p < k; p += 5) {
+      for (int64_t i = 0; i < m; ++i) {
+        (trans_a ? a[p * m + i] : a[i * k + p]) = 0.f;
+      }
+      for (int64_t j = 0; j < n; ++j) {
+        (trans_b ? b[j * k + p] : b[p * n + j]) =
+            j % 2 ? std::numeric_limits<float>::infinity()
+                  : std::numeric_limits<float>::quiet_NaN();
+      }
+    }
+  }
+  std::vector<float> want = c;
+  kernels::Gemm(a.data(), b.data(), c.data(), m, n, k, trans_a, trans_b,
+                accumulate);
+  kernels::GemmScalar(a.data(), b.data(), want.data(), m, n, k, trans_a,
+                      trans_b, accumulate);
+  ASSERT_EQ(std::memcmp(c.data(), want.data(), c.size() * 4), 0)
+      << m << "x" << n << "x" << k << " trans_a=" << trans_a
+      << " trans_b=" << trans_b << " accumulate=" << accumulate
+      << " nonfinite=" << nonfinite;
+  if (nonfinite && !trans_b) {
+    // The a == 0 skip keeps the inf/NaN rows of B out of C.
+    for (float x : c) ASSERT_TRUE(std::isfinite(x));
+  }
+}
+
+TEST(KernelsTest, GemmMatchesScalarLoopsBitwise) {
+  if (!__builtin_cpu_supports("avx2")) {
+    GTEST_SKIP() << "no AVX2: Gemm runs GemmScalar itself";
+  }
+  struct Case {
+    int64_t m, n, k;
+    bool trans_a, trans_b;
+  };
+  const std::vector<Case> cases = {
+      // The transformer's Linear layers: forward x . W^T (NT), input
+      // gradient g . W (NN), weight gradient g^T . x (TN).
+      {32, 768, 256, false, true},
+      {32, 256, 256, false, true},
+      {32, 1024, 256, false, true},
+      {32, 256, 768, false, false},
+      {32, 256, 1024, false, false},
+      {1024, 256, 32, true, false},
+      {768, 256, 32, true, false},
+      {256, 256, 32, true, false},
+      // Attention per head (seq 32, head_dim 64): Q . K^T and P . V forward,
+      // and their MatMul backward (dA NT, dB TN).
+      {32, 32, 64, false, false},
+      {32, 64, 32, false, false},
+      {32, 64, 32, false, true},
+      {64, 32, 32, true, false},
+      {32, 32, 64, false, true},
+      {32, 64, 32, true, false},
+  };
+  Rng rng(23, 0);
+  for (const Case& t : cases) {
+    for (bool accumulate : {false, true}) {
+      for (bool nonfinite : {false, true}) {
+        ExpectGemmBitwise(rng, t.m, t.n, t.k, t.trans_a, t.trans_b,
+                          accumulate, nonfinite);
+      }
+    }
+  }
+  // Random shapes: no dimension needs to be a multiple of 4 or 16.
+  for (int s = 0; s < 64; ++s) {
+    const int64_t m = 1 + static_cast<int64_t>(rng.NextU64() % 70);
+    const int64_t n = 1 + static_cast<int64_t>(rng.NextU64() % 70);
+    const int64_t k = 1 + static_cast<int64_t>(rng.NextU64() % 70);
+    for (int variant = 0; variant < 16; ++variant) {
+      ExpectGemmBitwise(rng, m, n, k, variant & 1, variant & 2, variant & 4,
+                        variant & 8);
+    }
+  }
 }
 
 TEST(KernelsTest, SoftmaxRowsSumToOne) {
