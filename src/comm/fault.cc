@@ -66,85 +66,39 @@ const char* OpStateName(OpState state) {
   return "?";
 }
 
-FlightRecorder::FlightRecorder(int num_ranks, int capacity)
-    : capacity_(capacity), rings_(static_cast<size_t>(num_ranks)) {
-  FSDP_CHECK(num_ranks > 0 && capacity > 0);
-  for (Ring& ring : rings_) {
-    ring.slots.resize(static_cast<size_t>(capacity_));
-  }
+FlightRecorder::FlightRecorder(int num_ranks)
+    : rings_(static_cast<size_t>(num_ranks)) {
+  FSDP_CHECK(num_ranks > 0);
+  for (Ring& ring : rings_) ring.slots.resize(kCapacity);
 }
 
-FlightRecord* FlightRecorder::Slot(Ring& ring, int64_t seq) {
-  return &ring.slots[static_cast<size_t>(seq % capacity_)];
-}
-
-void FlightRecorder::OnIssued(int rank, int64_t seq, OpSignature sig,
-                              double t_us) {
+void FlightRecorder::Record(int rank, std::shared_ptr<WorkState> work) {
   Ring& ring = rings_[static_cast<size_t>(rank)];
+  const size_t slot = static_cast<size_t>(work->seq % kCapacity);
   std::lock_guard<std::mutex> lock(ring.mu);
-  FlightRecord* r = Slot(ring, seq);
-  *r = FlightRecord{};
-  r->seq = seq;
-  r->sig = std::move(sig);
-  r->issue_us = t_us;
-  r->state = OpState::kIssued;
-}
-
-void FlightRecorder::OnStarted(int rank, int64_t seq, double t_us) {
-  Ring& ring = rings_[static_cast<size_t>(rank)];
-  std::lock_guard<std::mutex> lock(ring.mu);
-  FlightRecord* r = Slot(ring, seq);
-  if (r->seq != seq) return;  // overwritten by a newer op (ring wrapped)
-  r->start_us = t_us;
-  r->state = OpState::kStarted;
-}
-
-void FlightRecorder::OnFinished(int rank, int64_t seq, double t_us,
-                                OpState final_state) {
-  Ring& ring = rings_[static_cast<size_t>(rank)];
-  std::lock_guard<std::mutex> lock(ring.mu);
-  FlightRecord* r = Slot(ring, seq);
-  if (r->seq != seq) return;
-  r->complete_us = t_us;
-  r->state = final_state;
+  ring.slots[slot] = std::move(work);
 }
 
 std::vector<FlightRecord> FlightRecorder::Records(int rank) const {
-  const Ring& ring = rings_[static_cast<size_t>(rank)];
-  std::lock_guard<std::mutex> lock(ring.mu);
+  std::vector<std::shared_ptr<WorkState>> live;
+  {
+    const Ring& ring = rings_[static_cast<size_t>(rank)];
+    std::lock_guard<std::mutex> lock(ring.mu);
+    for (const auto& w : ring.slots) {
+      if (w) live.push_back(w);
+    }
+  }
   std::vector<FlightRecord> out;
-  out.reserve(ring.slots.size());
-  for (const FlightRecord& r : ring.slots) {
-    if (r.seq >= 0) out.push_back(r);
+  out.reserve(live.size());
+  for (const auto& w : live) {
+    std::lock_guard<std::mutex> lock(w->mu);
+    out.push_back(FlightRecord{w->seq, w->sig, w->issue_us, w->start_us,
+                               w->complete_us, w->state});
   }
   std::sort(out.begin(), out.end(),
             [](const FlightRecord& a, const FlightRecord& b) {
               return a.seq < b.seq;
             });
-  return out;
-}
-
-std::vector<obs::TraceEvent> FlightRecorder::TraceEvents() const {
-  std::vector<obs::TraceEvent> out;
-  for (int rank = 0; rank < num_ranks(); ++rank) {
-    for (const FlightRecord& r : Records(rank)) {
-      obs::TraceEvent e;
-      e.rank = rank;
-      e.kind = r.sig.kind;
-      // Same rendering as the JSON dump's "op" field ("AR:warm"), so the
-      // Chrome timeline and the dump name ops identically.
-      e.unit = r.sig.Render() + " #" + std::to_string(r.seq) + " (" +
-               OpStateName(r.state) + ")";
-      e.lane = "flight";
-      e.t_begin_us = r.issue_us;
-      // Incomplete ops render as zero-length spans at their last known time.
-      e.t_end_us = r.complete_us > 0 ? r.complete_us
-                   : r.start_us > 0  ? r.start_us
-                                     : r.issue_us;
-      e.bytes = r.sig.numel * 4;
-      out.push_back(std::move(e));
-    }
-  }
   return out;
 }
 

@@ -1,5 +1,5 @@
 // Fault-tolerance primitives for the comm-worker runtime: scriptable fault
-// injection, per-op signatures, and the flight recorder.
+// injection, per-op signatures, the per-op record, and the flight recorder.
 //
 // The thread-per-rank substrate is only honest about distributed failure
 // modes if we can *produce* them deterministically. A FaultSpec names one
@@ -19,19 +19,26 @@
 //
 // OpSignature is the per-collective identity checked at the rendezvous
 // (kind, label/tag, payload numel, broadcast root) — the analogue of NCCL's
-// collective hashing used by desync debugging. FlightRecorder keeps the last
-// N per-rank collective records (seq, signature, issue/start/complete
-// timestamps, final state) in a ring, the data the watchdog dumps as JSON
-// when it fires (ProcessGroupNCCL flight-recorder analogue).
+// collective hashing used by desync debugging. WorkState is the one record
+// of a collective on one rank: its seq, signature, lifecycle state and
+// issue/start/complete stamps, shared by the Work handle, the comm worker
+// and the FlightRecorder. The recorder keeps the last 64 WorkStates of each
+// rank in a ring and snapshots them into FlightRecords, the data the
+// watchdog dumps as JSON when it fires (ProcessGroupNCCL flight-recorder
+// analogue).
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "obs/trace.h"
+#include "tensor/tensor.h"
 
 namespace fsdp::comm {
 
@@ -110,55 +117,69 @@ struct OpSignature {
   std::string Render() const;
 };
 
-/// Lifecycle state of one recorded collective.
+/// Lifecycle state of one collective: issued, then started by its worker,
+/// then one of the final states (kCompleted and everything after it).
 enum class OpState : int { kIssued = 0, kStarted, kCompleted, kSkipped,
                            kAborted };
 
 const char* OpStateName(OpState state);
 
+/// The one record of a collective on one rank, shared by its Work handle,
+/// its comm worker and the FlightRecorder. `seq`, `sig`, `issue_us` and
+/// `bytes` are fixed on the issuing thread before the state is shared. The
+/// worker writes each later stamp once, under `mu`: `start_us` with state
+/// kStarted, then `complete_us` and `status` with the final state.
+struct WorkState {
+  std::mutex mu;
+  std::condition_variable cv;
+  int64_t seq = -1;     // per-rank collective sequence number
+  OpSignature sig;      // identity every rank must agree on
+  double issue_us = 0;  // enqueued on the calling rank thread
+  int64_t bytes = 0;    // this rank's wire bytes (CommStats, trace span)
+  OpState state = OpState::kIssued;
+  double start_us = 0;     // comm worker began executing
+  double complete_us = 0;  // worker finished (successfully or not)
+  Status status;  // completion status (abort/timeout propagate here)
+  /// The Tensor overloads' operands, pinned until completion; released by
+  /// the worker on completion.
+  std::vector<Tensor> keepalive;
+
+  bool done() const { return state >= OpState::kCompleted; }
+};
+
+/// A snapshot of one WorkState, as the flight-recorder dump renders it.
 struct FlightRecord {
   int64_t seq = -1;
   OpSignature sig;
-  double issue_us = 0;     // enqueued by the calling rank thread
-  double start_us = 0;     // worker entered the op
-  double complete_us = 0;  // worker completed (successfully or not)
+  double issue_us = 0;
+  double start_us = 0;
+  double complete_us = 0;
   OpState state = OpState::kIssued;
 };
 
-/// Per-rank ring buffers of the last `capacity` collective records. Sequence
-/// numbers are dense per rank, so record `seq` lives in slot `seq %
-/// capacity`; updates find their record in O(1). Each rank's ring has its
-/// own mutex — workers never contend with each other, only with dump
-/// readers.
+/// Per-rank rings of the last kCapacity collectives' WorkStates. Sequence
+/// numbers are dense per rank, so op `seq` lives in slot `seq % kCapacity`.
+/// Each rank's ring has its own mutex, taken by the issuing rank thread and
+/// by dump readers; a worker's stamps go to the WorkState alone.
 class FlightRecorder {
  public:
-  FlightRecorder(int num_ranks, int capacity = kDefaultCapacity);
+  static constexpr int kCapacity = 64;
 
-  static constexpr int kDefaultCapacity = 64;
+  explicit FlightRecorder(int num_ranks);
 
-  void OnIssued(int rank, int64_t seq, OpSignature sig, double t_us);
-  void OnStarted(int rank, int64_t seq, double t_us);
-  void OnFinished(int rank, int64_t seq, double t_us, OpState final_state);
+  /// Files a newly issued op (seq and sig set) in `rank`'s ring, dropping
+  /// the op kCapacity seqs older.
+  void Record(int rank, std::shared_ptr<WorkState> work);
 
-  /// One rank's live records, oldest first.
+  /// Snapshots of one rank's live records, oldest first.
   std::vector<FlightRecord> Records(int rank) const;
-  int num_ranks() const { return static_cast<int>(rings_.size()); }
-  int capacity() const { return capacity_; }
-
-  /// The records as comm-lane trace events ("flight" lane; incomplete ops
-  /// render as instants at their last known timestamp) for the Chrome-trace
-  /// exporter.
-  std::vector<obs::TraceEvent> TraceEvents() const;
 
  private:
   struct Ring {
     mutable std::mutex mu;
-    std::vector<FlightRecord> slots;
+    std::vector<std::shared_ptr<WorkState>> slots;
   };
 
-  FlightRecord* Slot(Ring& ring, int64_t seq);
-
-  int capacity_;
   std::vector<Ring> rings_;
 };
 

@@ -8,46 +8,21 @@
 #include <utility>
 
 #include "obs/artifact.h"
-#include "obs/chrome_trace.h"
 #include "obs/metrics.h"
 
 namespace fsdp::comm {
 
 namespace {
 
-/// Registry handles resolved once; afterwards each collective pays only
-/// relaxed atomic adds. Names are the stable `comm.*` metric scheme.
+/// Registry handles resolved once; afterwards each event pays only a
+/// relaxed atomic add. Traffic is counted per rank in CommStats, not here.
 struct CommMetrics {
-  obs::Counter& ag_count;
-  obs::Counter& ag_bytes;
-  obs::Counter& rs_count;
-  obs::Counter& rs_bytes;
-  obs::Counter& ar_count;
-  obs::Counter& ar_bytes;
-  obs::Counter& bcast_count;
-  obs::Counter& bcast_bytes;
   obs::Counter& timeouts;
   obs::Counter& desyncs;
   obs::Counter& aborts;
 
   CommMetrics()
-      : ag_count(obs::MetricsRegistry::Get().GetCounter(
-            "comm.allgather.count")),
-        ag_bytes(obs::MetricsRegistry::Get().GetCounter(
-            "comm.allgather.bytes")),
-        rs_count(obs::MetricsRegistry::Get().GetCounter(
-            "comm.reducescatter.count")),
-        rs_bytes(obs::MetricsRegistry::Get().GetCounter(
-            "comm.reducescatter.bytes")),
-        ar_count(obs::MetricsRegistry::Get().GetCounter(
-            "comm.allreduce.count")),
-        ar_bytes(obs::MetricsRegistry::Get().GetCounter(
-            "comm.allreduce.bytes")),
-        bcast_count(obs::MetricsRegistry::Get().GetCounter(
-            "comm.broadcast.count")),
-        bcast_bytes(obs::MetricsRegistry::Get().GetCounter(
-            "comm.broadcast.bytes")),
-        timeouts(obs::MetricsRegistry::Get().GetCounter("comm.timeouts")),
+      : timeouts(obs::MetricsRegistry::Get().GetCounter("comm.timeouts")),
         desyncs(obs::MetricsRegistry::Get().GetCounter("comm.desyncs")),
         aborts(obs::MetricsRegistry::Get().GetCounter("comm.aborts")) {}
 };
@@ -57,35 +32,26 @@ CommMetrics& Metrics() {
   return m;
 }
 
-/// Counts one op's wire bytes into its rank's CommStats and the comm.*
-/// counters. AllToAll counts with the gather family; Send/Recv have no
-/// registry counters and a Barrier moves nothing.
+/// Counts one op's wire bytes into its rank's CommStats. AllToAll counts
+/// with the gather family; a Barrier moves nothing.
 void CountTraffic(CommStats& s, obs::EventKind kind, int64_t bytes) {
   switch (kind) {
     case obs::EventKind::kAllGather:
     case obs::EventKind::kAllToAll:
       ++s.allgather_ops;
       s.allgather_bytes += bytes;
-      Metrics().ag_count.Add(1);
-      Metrics().ag_bytes.Add(bytes);
       break;
     case obs::EventKind::kReduceScatter:
       ++s.reducescatter_ops;
       s.reducescatter_bytes += bytes;
-      Metrics().rs_count.Add(1);
-      Metrics().rs_bytes.Add(bytes);
       break;
     case obs::EventKind::kAllReduce:
       ++s.allreduce_ops;
       s.allreduce_bytes += bytes;
-      Metrics().ar_count.Add(1);
-      Metrics().ar_bytes.Add(bytes);
       break;
     case obs::EventKind::kBroadcast:
       ++s.broadcast_ops;
       s.broadcast_bytes += bytes;
-      Metrics().bcast_count.Add(1);
-      Metrics().bcast_bytes.Add(bytes);
       break;
     case obs::EventKind::kSend:
       ++s.send_ops;
@@ -157,13 +123,13 @@ std::string RankList(const std::vector<int>& ranks) {
 void Work::Wait() const {
   if (!state_) return;
   std::unique_lock<std::mutex> lock(state_->mu);
-  state_->cv.wait(lock, [&] { return state_->done; });
+  state_->cv.wait(lock, [&] { return state_->done(); });
 }
 
 Status Work::WaitStatus() const {
   if (!state_) return Status::OK();
   std::unique_lock<std::mutex> lock(state_->mu);
-  state_->cv.wait(lock, [&] { return state_->done; });
+  state_->cv.wait(lock, [&] { return state_->done(); });
   return state_->status;
 }
 
@@ -172,7 +138,7 @@ Status Work::WaitFor(double timeout_ms) const {
   std::unique_lock<std::mutex> lock(state_->mu);
   const bool done = state_->cv.wait_for(
       lock, std::chrono::duration<double, std::milli>(timeout_ms),
-      [&] { return state_->done; });
+      [&] { return state_->done(); });
   if (!done) {
     return Status::Internal("Work::WaitFor timed out after " +
                             FormatMs(timeout_ms) + " ms (collective #" +
@@ -184,7 +150,7 @@ Status Work::WaitFor(double timeout_ms) const {
 bool Work::Completed() const {
   if (!state_) return true;
   std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->done;
+  return state_->done();
 }
 
 int64_t Work::seq() const {
@@ -328,12 +294,13 @@ void Communicator::ExecuteOp(int comm_rank, CommOp& op) {
   // Attribute everything below (trace events, check failures) to the
   // issuing rank, not the worker's native thread.
   RankScope scope(op.trace_rank);
+  WorkState& work = *op.work;  // seq, sig and bytes are fixed since issue
 
   // Scripted faults fire before the op is marked started, so watchdog
   // diagnoses correctly read "never entered".
   if (injector_.armed()) {
     FaultSpec fault;
-    if (injector_.Match(comm_rank, op.seq, op.sig.label, op.sig.kind,
+    if (injector_.Match(comm_rank, work.seq, work.sig.label, work.sig.kind,
                         &fault)) {
       switch (fault.kind) {
         case FaultKind::kDelay: {
@@ -355,14 +322,11 @@ void Communicator::ExecuteOp(int comm_rank, CommOp& op) {
           {
             std::lock_guard<std::mutex> lock(progress_mu_);
             RankProgress& p = progress_[comm_rank];
-            p.in_op = true;
-            p.cur_seq = op.seq;
-            p.cur_sig = op.sig;
+            p.cur = op.work;
             p.cur_start_us = MonotonicMicros();
             p.cur_timeout_ms = op.timeout_ms;
             p.health = hang ? RankHealth::kHung : RankHealth::kCrashed;
-            p.stuck_seq = op.seq;
-            p.stuck_sig = op.sig;
+            p.stuck = op.work;
           }
           WorkerQueue& q = queues_[comm_rank];
           {
@@ -375,8 +339,8 @@ void Communicator::ExecuteOp(int comm_rank, CommOp& op) {
                                 "communicator shut down while rank " +
                                 std::to_string(comm_rank) + " was " +
                                 (hang ? "hung" : "crashed") + " at " +
-                                op.sig.Render() + " #" +
-                                std::to_string(op.seq));
+                                work.sig.Render() + " #" +
+                                std::to_string(work.seq));
           CompleteOp(comm_rank, op, std::move(st), OpState::kAborted);
           return;
         }
@@ -402,51 +366,32 @@ void Communicator::ExecuteOp(int comm_rank, CommOp& op) {
 
   const double start = MonotonicMicros();
   {
-    std::lock_guard<std::mutex> lock(op.work->mu);
-    op.work->start_us = start;
+    std::lock_guard<std::mutex> lock(work.mu);
+    work.start_us = start;
+    work.state = OpState::kStarted;
   }
   {
     std::lock_guard<std::mutex> lock(progress_mu_);
     RankProgress& p = progress_[comm_rank];
-    p.in_op = true;
-    p.cur_seq = op.seq;
-    p.cur_sig = op.sig;
+    p.cur = op.work;
     p.cur_start_us = start;
     p.cur_timeout_ms = op.timeout_ms;
-    p.last_activity_us = start;
   }
-  flight_.OnStarted(comm_rank, op.seq, start);
 
   bool ok = true;
   // P2p ops (Send/Recv) skip the all-rank rendezvous: only the two
   // endpoints participate, so a barrier over every rank would deadlock. The
   // watchdog still covers them via the per-rank progress table.
-  const bool p2p = op.sig.kind == obs::EventKind::kSend ||
-                   op.sig.kind == obs::EventKind::kRecv;
+  const bool p2p = work.sig.kind == obs::EventKind::kSend ||
+                   work.sig.kind == obs::EventKind::kRecv;
   if (desync_detection_.load(std::memory_order_relaxed) && !p2p) {
-    ok = Rendezvous(comm_rank, op);
+    ok = Rendezvous(comm_rank, op.work);
   }
-  // issue_us and bytes were written before enqueue (see Issue).
-  const int64_t bytes = op.work->bytes;
   if (ok) {
-    TransferDelay(bytes);
+    TransferDelay(work.bytes);
     ok = op.body();
   }
 
-  const double end = MonotonicMicros();
-  auto& collector = obs::TraceCollector::Get();
-  if (collector.enabled()) {
-    obs::TraceEvent e;
-    e.rank = op.trace_rank;
-    e.kind = op.sig.kind;
-    e.unit = op.sig.label;
-    e.lane = "comm";
-    e.t_begin_us = op.work->issue_us;
-    e.t_exec_us = start;  // worker pickup: queue delay ends here
-    e.t_end_us = end;
-    e.bytes = bytes;
-    collector.Record(std::move(e));
-  }
   Status st = Status::OK();
   if (!ok) {
     st = abort_status();
@@ -456,10 +401,11 @@ void Communicator::ExecuteOp(int comm_rank, CommOp& op) {
              ok ? OpState::kCompleted : OpState::kAborted);
 }
 
-bool Communicator::Rendezvous(int comm_rank, const CommOp& op) {
+bool Communicator::Rendezvous(int comm_rank,
+                              std::shared_ptr<const WorkState> work) {
   {
     std::lock_guard<std::mutex> lock(progress_mu_);
-    sig_slots_[comm_rank] = SigSlot{op.seq, op.sig};
+    sig_slots_[comm_rank] = std::move(work);
   }
   if (!barrier_.Wait() || aborted()) return false;
   // All ranks have published, and no rank can overwrite its slot before
@@ -473,31 +419,30 @@ bool Communicator::Rendezvous(int comm_rank, const CommOp& op) {
     // Majority vote picks the contract: the culprit is the minority, no
     // matter which rank runs the check first. Ties go to the higher seq
     // (the rank that skipped ahead).
+    const auto same = [](const WorkState& a, const WorkState& b) {
+      return a.seq == b.seq && a.sig == b.sig;
+    };
     int best = 0;
     int best_count = -1;
     for (int r = 0; r < size_; ++r) {
       int count = 0;
       for (int k = 0; k < size_; ++k) {
-        if (sig_slots_[k].seq == sig_slots_[r].seq &&
-            sig_slots_[k].sig == sig_slots_[r].sig) {
-          ++count;
-        }
+        if (same(*sig_slots_[k], *sig_slots_[r])) ++count;
       }
       if (count > best_count ||
           (count == best_count &&
-           sig_slots_[r].seq < sig_slots_[best].seq)) {
+           sig_slots_[r]->seq < sig_slots_[best]->seq)) {
         best = r;
         best_count = count;
       }
     }
-    const SigSlot& expected = sig_slots_[best];
+    const WorkState& expected = *sig_slots_[best];
     std::vector<int> agree;
     for (int r = 0; r < size_; ++r) {
-      const SigSlot& s = sig_slots_[r];
-      if (s.seq == expected.seq && s.sig == expected.sig) {
+      const WorkState& s = *sig_slots_[r];
+      if (same(s, expected)) {
         agree.push_back(r);
-        diag.expected_next.push_back(
-            {r, s.seq, s.sig.Render()});
+        diag.expected_next.push_back({r, s.seq, s.sig.Render()});
         continue;
       }
       if (diag.culprit_rank < 0) {
@@ -506,7 +451,7 @@ bool Communicator::Rendezvous(int comm_rank, const CommOp& op) {
       }
     }
     if (diag.culprit_rank < 0) return true;  // all slots agree
-    const SigSlot& culprit = sig_slots_[diag.culprit_rank];
+    const WorkState& culprit = *sig_slots_[diag.culprit_rank];
     const auto [entered, held] = RenderMismatch(culprit.sig, expected.sig);
     diag.desync = true;
     diag.stuck_op = expected.sig.Render();
@@ -522,28 +467,41 @@ bool Communicator::Rendezvous(int comm_rank, const CommOp& op) {
 
 void Communicator::CompleteOp(int comm_rank, CommOp& op, Status status,
                               OpState final_state) {
+  WorkState& work = *op.work;
   const double end = MonotonicMicros();
   {
     std::lock_guard<std::mutex> lock(progress_mu_);
     RankProgress& p = progress_[comm_rank];
-    p.in_op = false;
-    p.cur_seq = -1;
-    p.last_completed_seq = std::max(p.last_completed_seq, op.seq);
-    p.pending = std::max(0, p.pending - 1);
-    p.last_activity_us = end;
+    p.cur = nullptr;
+    p.last_completed_seq = std::max(p.last_completed_seq, work.seq);
     // health is sticky: a hung/crashed rank stays diagnosable after its
     // parked op was error-completed by an abort.
   }
-  flight_.OnFinished(comm_rank, op.seq, end, final_state);
   std::vector<Tensor> keepalive;
   {
-    std::lock_guard<std::mutex> lock(op.work->mu);
-    op.work->complete_us = end;
-    op.work->status = std::move(status);
-    op.work->done = true;
-    keepalive = std::move(op.work->keepalive);
+    std::lock_guard<std::mutex> lock(work.mu);
+    work.complete_us = end;
+    work.status = std::move(status);
+    // An op that ran gets its comm-lane span from these very stamps, while
+    // the state is not yet final: no waiter can wake before the span is in
+    // the collector.
+    auto& collector = obs::TraceCollector::Get();
+    if (work.state == OpState::kStarted && collector.enabled()) {
+      obs::TraceEvent e;
+      e.rank = op.trace_rank;
+      e.kind = work.sig.kind;
+      e.unit = work.sig.label;
+      e.lane = "comm";
+      e.t_begin_us = work.issue_us;
+      e.t_exec_us = work.start_us;  // worker pickup: queue delay ends here
+      e.t_end_us = work.complete_us;
+      e.bytes = work.bytes;
+      collector.Record(std::move(e));
+    }
+    work.state = final_state;
+    keepalive = std::move(work.keepalive);
   }
-  op.work->cv.notify_all();
+  work.cv.notify_all();
   // Pinned tensors release here, outside the completion lock.
   keepalive.clear();
 }
@@ -572,18 +530,13 @@ void Communicator::InjectFault(FaultSpec spec) {
   injector_.Inject(std::move(spec));
 }
 
-int64_t Communicator::RegisterIssue(int comm_rank, const OpSignature& sig,
-                                    double now_us) {
-  int64_t seq;
+void Communicator::RegisterIssue(int comm_rank,
+                                 std::shared_ptr<WorkState> work) {
   {
     std::lock_guard<std::mutex> lock(progress_mu_);
-    RankProgress& p = progress_[comm_rank];
-    seq = p.next_seq++;
-    p.last_issued_seq = seq;
-    ++p.pending;
+    work->seq = progress_[comm_rank].next_seq++;
   }
-  flight_.OnIssued(comm_rank, seq, sig, now_us);
-  return seq;
+  flight_.Record(comm_rank, std::move(work));
 }
 
 bool Communicator::ClaimAbort(Status status, WatchdogDiagnosis* diag) {
@@ -726,10 +679,10 @@ void Communicator::WatchdogScan() {
   double waited_ms = 0;
   for (int r = 0; r < size_; ++r) {
     const RankProgress& p = snapshot[r];
-    if (!p.in_op || p.cur_timeout_ms <= 0) continue;
+    if (!p.cur || p.cur_timeout_ms <= 0) continue;
     const double waited = (now - p.cur_start_us) / 1000.0;
     if (waited < p.cur_timeout_ms) continue;
-    if (anchor < 0 || p.cur_seq < snapshot[anchor].cur_seq) {
+    if (anchor < 0 || p.cur->seq < snapshot[anchor].cur->seq) {
       anchor = r;
       waited_ms = waited;
     }
@@ -743,8 +696,8 @@ WatchdogDiagnosis Communicator::Diagnose(
     const std::vector<RankProgress>& snapshot, int anchor_rank,
     double waited_ms) const {
   const RankProgress& a = snapshot[anchor_rank];
-  const int64_t seq = a.cur_seq;
-  const OpSignature& sig = a.cur_sig;
+  const int64_t seq = a.cur->seq;
+  const OpSignature& sig = a.cur->sig;
 
   WatchdogDiagnosis diag;
   diag.culprit_seq = seq;
@@ -753,8 +706,8 @@ WatchdogDiagnosis Communicator::Diagnose(
   std::vector<int> blocked;
   for (int r = 0; r < size_; ++r) {
     const RankProgress& p = snapshot[r];
-    if (p.in_op && p.health == RankHealth::kHealthy && p.cur_seq == seq &&
-        p.cur_sig == sig) {
+    if (p.cur && p.health == RankHealth::kHealthy && p.cur->seq == seq &&
+        p.cur->sig == sig) {
       blocked.push_back(r);
       diag.expected_next.push_back({r, seq, sig.Render()});
     }
@@ -767,39 +720,40 @@ WatchdogDiagnosis Communicator::Diagnose(
     const RankProgress& p = snapshot[r];
     if (p.health == RankHealth::kCrashed) {
       diag.culprit_rank = r;
-      diag.culprit_seq = p.stuck_seq;
+      diag.culprit_seq = p.stuck->seq;
       what = "rank " + std::to_string(r) +
-             " crashed (worker stopped draining) at " + p.stuck_sig.Render() +
-             " #" + std::to_string(p.stuck_seq);
+             " crashed (worker stopped draining) at " + p.stuck->sig.Render() +
+             " #" + std::to_string(p.stuck->seq);
     } else if (p.health == RankHealth::kHung) {
       diag.culprit_rank = r;
-      diag.culprit_seq = p.stuck_seq;
+      diag.culprit_seq = p.stuck->seq;
       what = "rank " + std::to_string(r) + " hung and never entered " +
-             p.stuck_sig.Render() + " #" + std::to_string(p.stuck_seq);
+             p.stuck->sig.Render() + " #" + std::to_string(p.stuck->seq);
     }
   }
   for (int r = 0; diag.culprit_rank < 0 && r < size_; ++r) {
     const RankProgress& p = snapshot[r];
-    if (p.in_op && (p.cur_seq != seq || p.cur_sig != sig)) {
-      const auto [in, expected] = RenderMismatch(p.cur_sig, sig);
+    if (p.cur && (p.cur->seq != seq || p.cur->sig != sig)) {
+      const auto [in, expected] = RenderMismatch(p.cur->sig, sig);
       diag.culprit_rank = r;
-      diag.culprit_seq = p.cur_seq;
+      diag.culprit_seq = p.cur->seq;
       diag.desync = true;
       what = "rank " + std::to_string(r) + " is in " + in + " #" +
-             std::to_string(p.cur_seq) + " instead of " + expected + " #" +
+             std::to_string(p.cur->seq) + " instead of " + expected + " #" +
              std::to_string(seq);
     }
   }
   for (int r = 0; diag.culprit_rank < 0 && r < size_; ++r) {
     const RankProgress& p = snapshot[r];
-    if (p.in_op) continue;
-    if (p.last_issued_seq < seq) {
+    if (p.cur) continue;
+    const int64_t last_issued = p.next_seq - 1;
+    if (last_issued < seq) {
       // The rank's application thread diverged: it never issued this op.
       diag.culprit_rank = r;
       diag.desync = true;
       what = "rank " + std::to_string(r) + " never issued " + sig.Render() +
              " #" + std::to_string(seq) + " (last issued #" +
-             std::to_string(p.last_issued_seq) + ")";
+             std::to_string(last_issued) + ")";
     } else if (p.last_completed_seq >= seq) {
       // The rank's worker already passed this seq — check how.
       bool skipped = false;
@@ -905,19 +859,19 @@ Work ProcessGroup::Issue(obs::EventKind kind, const CollectiveOptions& opts,
                          int root) {
   CountTraffic(comm_->rank_stats_[rank_], kind, wire_bytes);
   auto state = std::make_shared<WorkState>();
-  // Written before Enqueue; the queue mutex publishes them to the worker.
+  // Fixed before the state is shared; the ring and queue mutexes publish
+  // them to readers and the worker.
+  state->sig = OpSignature{kind, opts.tag.empty() ? default_label : opts.tag,
+                           numel, root};
   state->issue_us = MonotonicMicros();
   state->bytes = wire_bytes;
+  comm_->RegisterIssue(rank_, state);
   Communicator::CommOp op;
   op.body = std::move(body);
   op.work = state;
   op.trace_rank = CurrentRank() >= 0 ? CurrentRank() : rank_;
-  op.sig = OpSignature{kind, opts.tag.empty() ? default_label : opts.tag,
-                       numel, root};
   op.timeout_ms =
       opts.timeout_ms > 0 ? opts.timeout_ms : comm_->default_timeout_ms();
-  op.seq = comm_->RegisterIssue(rank_, op.sig, state->issue_us);
-  state->seq = op.seq;
   if (op.timeout_ms > 0) comm_->EnsureWatchdogStarted();
   comm_->Enqueue(rank_, std::move(op));
   Work w(std::move(state));
@@ -928,7 +882,7 @@ Work ProcessGroup::Issue(obs::EventKind kind, const CollectiveOptions& opts,
 Work ProcessGroup::Pin(Work work, std::vector<Tensor> operands) {
   if (const auto& s = work.state_) {
     std::lock_guard<std::mutex> lock(s->mu);
-    if (!s->done) s->keepalive = std::move(operands);
+    if (!s->done()) s->keepalive = std::move(operands);
   }
   return work;
 }

@@ -31,13 +31,17 @@
 // threads are unaffected, so the overlap benches/traces show genuine
 // comm/compute concurrency in wall-clock time.
 //
-// Per-rank byte/op counters support the traffic-model tests; they are
-// updated at issue time on the calling thread, in ProcessGroup::Issue.
+// Each op has one record, its WorkState (comm/fault.h): a per-rank dense
+// *sequence number*, an OpSignature (kind, label, numel, root), its wire
+// bytes, its lifecycle state and the issue/start/complete stamps. The Work
+// handle, the per-rank FlightRecorder ring (the last 64 ops), the comm-lane
+// trace span and the plan::ExecLog timings all read that one record. The
+// only traffic counters are the per-rank CommStats, bumped at issue time on
+// the calling thread in ProcessGroup::Issue; the metrics registry counts
+// only comm.{timeouts,desyncs,aborts}.
 //
 // Fault tolerance (ProcessGroupNCCL watchdog / flight-recorder analogue):
-// every op carries a per-rank dense *sequence number* and an OpSignature
-// (kind, label, numel, root), recorded in a per-rank FlightRecorder ring.
-// Three opt-in layers harden the SPMD contract:
+// three opt-in layers harden the SPMD contract:
 //
 //   * desync detection (SetDesyncDetection): workers rendezvous before each
 //     op body and cross-check signatures — a skipped/reordered/mismatched
@@ -101,22 +105,6 @@ struct CollectiveOptions {
   /// the communicator default (Communicator::SetDefaultTimeout); if that is
   /// also 0 the op is never timed out.
   double timeout_ms = 0;
-};
-
-/// Shared completion state behind a Work handle (internal).
-struct WorkState {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  Status status;           // completion status (abort/timeout propagate here)
-  int64_t seq = -1;        // per-rank collective sequence number
-  double issue_us = 0;     // enqueued on the calling rank thread
-  double start_us = 0;     // comm worker began executing
-  double complete_us = 0;  // all barriers passed, results visible
-  int64_t bytes = 0;       // this rank's wire bytes (CommStats, trace span)
-  /// The Tensor overloads' operands, pinned until completion; released by
-  /// the worker on completion.
-  std::vector<Tensor> keepalive;
 };
 
 /// Completion handle (PyTorch c10d Work analogue). A real handle: the
@@ -298,11 +286,6 @@ class Communicator {
   /// automatically before aborting.
   std::string flight_dump_path() const;
 
-  /// Flight records as "flight"-lane trace events for the Chrome exporter.
-  std::vector<obs::TraceEvent> FlightTraceEvents() const {
-    return flight_.TraceEvents();
-  }
-
  private:
   friend class ProcessGroup;
 
@@ -311,10 +294,8 @@ class Communicator {
     /// The rank's share of the collective; returns false when it bailed out
     /// on a communicator abort (the op then completes with the abort Status).
     std::function<bool()> body;
-    std::shared_ptr<WorkState> work;  // also carries the wire bytes
+    std::shared_ptr<WorkState> work;  // the op's seq, signature and bytes
     int trace_rank = 0;               // issuer's global rank (attribution)
-    int64_t seq = -1;                 // per-rank dense sequence number
-    OpSignature sig;                  // identity: kind, label, numel, root
     double timeout_ms = 0;            // effective watchdog deadline (0 = off)
   };
 
@@ -338,40 +319,33 @@ class Communicator {
   enum class RankHealth : int { kHealthy = 0, kHung, kCrashed };
 
   /// Watchdog's view of one rank's worker; updated under progress_mu_ at
-  /// issue, op entry and op completion.
+  /// issue, op entry and op completion. Ops are referenced, not copied: a
+  /// WorkState's seq and signature never change once it is shared.
   struct RankProgress {
-    int64_t next_seq = 0;             // issue-side counter
-    int64_t last_issued_seq = -1;
+    int64_t next_seq = 0;  // issue-side counter; next_seq - 1 = last issued
     int64_t last_completed_seq = -1;
-    int pending = 0;                  // issued but not finished
-    bool in_op = false;
-    int64_t cur_seq = -1;
-    OpSignature cur_sig;
+    /// The op the worker is in (null between ops), since when, and its
+    /// deadline.
+    std::shared_ptr<const WorkState> cur;
     double cur_start_us = 0;
     double cur_timeout_ms = 0;
-    double last_activity_us = 0;
     RankHealth health = RankHealth::kHealthy;
-    int64_t stuck_seq = -1;           // op a hung/crashed worker received
-    OpSignature stuck_sig;
-  };
-
-  /// Slot published at the desync rendezvous.
-  struct SigSlot {
-    int64_t seq = -1;
-    OpSignature sig;
+    std::shared_ptr<const WorkState> stuck;  // op a hung/crashed worker got
   };
 
   void EnsureWorkersStarted();
   void WorkerLoop(int comm_rank);
-  /// Runs one op on its worker: fault check, progress/flight bookkeeping,
+  /// Runs one op on its worker: fault check, start stamp and progress,
   /// optional signature rendezvous, transfer delay, body, completion.
   void ExecuteOp(int comm_rank, CommOp& op);
-  /// Publishes (seq, sig), synchronizes, and cross-checks all ranks' slots.
-  /// Returns false (after aborting with a desync diagnosis) on mismatch or
-  /// when the communicator aborted mid-rendezvous.
-  bool Rendezvous(int comm_rank, const CommOp& op);
-  /// Completes `op`: final flight/progress records, publishes `status` into
-  /// the WorkState, wakes all waiters exactly once, releases the keepalive.
+  /// Publishes the op, synchronizes, and cross-checks all ranks' (seq,
+  /// sig). Returns false (after aborting with a desync diagnosis) on
+  /// mismatch or when the communicator aborted mid-rendezvous.
+  bool Rendezvous(int comm_rank, std::shared_ptr<const WorkState> work);
+  /// Completes `op`: progress record, the comm-lane span of an op that ran
+  /// (from the WorkState's own stamps, before any waiter can wake), then
+  /// `status` and `final_state` into the WorkState; wakes all waiters
+  /// exactly once and releases the keepalive.
   void CompleteOp(int comm_rank, CommOp& op, Status status,
                   OpState final_state);
   /// Synchronization point inside collective bodies: barrier + abort check.
@@ -388,9 +362,9 @@ class Communicator {
   /// Status (outside all local locks).
   void PropagateAbort();
 
-  /// Issue-side bookkeeping (calling rank thread): assigns the rank's next
-  /// seq, records the issue in progress + flight recorder.
-  int64_t RegisterIssue(int comm_rank, const OpSignature& sig, double now_us);
+  /// Issue-side bookkeeping (calling rank thread): stamps the rank's next
+  /// seq into `work` and files it in the flight recorder.
+  void RegisterIssue(int comm_rank, std::shared_ptr<WorkState> work);
   void EnsureWatchdogStarted();
   void WatchdogLoop();
   /// One watchdog scan: looks for ops stuck past their deadline; on fire,
@@ -444,7 +418,8 @@ class Communicator {
 
   mutable std::mutex progress_mu_;
   std::vector<RankProgress> progress_;
-  std::vector<SigSlot> sig_slots_;  // rendezvous exchange, one per rank
+  /// Rendezvous exchange, one per rank: the op each rank published.
+  std::vector<std::shared_ptr<const WorkState>> sig_slots_;
 
   std::atomic<bool> aborted_{false};
   mutable std::mutex abort_mu_;
@@ -531,7 +506,7 @@ class ProcessGroup {
   /// Per-rank counters, shared by every ProcessGroup handle over the same
   /// (communicator, rank) — so a caller can observe traffic produced by a
   /// wrapper (DDP/FSDP) holding its own handle copy. Counters are bumped at
-  /// issue time on the calling thread.
+  /// issue time on the calling thread. The runtime's only traffic counters.
   const CommStats& stats() const { return comm_->rank_stats_[rank_]; }
   void ResetStats() { comm_->rank_stats_[rank_] = CommStats{}; }
 
@@ -545,7 +520,7 @@ class ProcessGroup {
   /// OpSignature {kind, tag or `default_label`, numel, root} every rank must
   /// agree on (`numel` is the payload size all ranks share, `root` the
   /// broadcast root or p2p peer, -1 otherwise), counts this rank's
-  /// `wire_bytes` into CommStats and the comm.* counters, and enqueues
+  /// `wire_bytes` into CommStats, and enqueues
   /// `body` onto this rank's comm worker; waits for completion unless
   /// opts.async.
   Work Issue(obs::EventKind kind, const CollectiveOptions& opts,

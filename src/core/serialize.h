@@ -63,14 +63,23 @@ class BinaryWriter {
 
 /// Counterpart reader; same sticky-error discipline, plus bounds sanity on
 /// string/tensor sizes so a corrupt file fails cleanly instead of
-/// allocating garbage.
+/// allocating garbage: tensor data is checked against the bytes the file
+/// has left before anything is allocated for it.
 class BinaryReader {
  public:
-  explicit BinaryReader(std::FILE* f) : f_(f) {}
+  explicit BinaryReader(std::FILE* f) : f_(f) {
+    const long pos = std::ftell(f);
+    if (pos >= 0 && std::fseek(f, 0, SEEK_END) == 0) {
+      const long end = std::ftell(f);
+      if (end >= pos) left_ = end - pos;
+    }
+    if (pos < 0 || std::fseek(f, pos, SEEK_SET) != 0) ok_ = false;
+  }
   bool ok() const { return ok_; }
 
   void Raw(void* p, size_t n) {
     if (ok_ && std::fread(p, 1, n, f_) != n) ok_ = false;
+    if (ok_) left_ -= static_cast<int64_t>(n);
   }
   uint8_t U8() {
     uint8_t v = 0;
@@ -98,9 +107,9 @@ class BinaryReader {
     return s;
   }
   Tensor TensorData() {
-    const DType dtype = static_cast<DType>(U8());
+    const uint8_t dtype = U8();
     const uint32_t ndim = U32();
-    if (!ok_ || ndim > 8) {
+    if (!ok_ || dtype > static_cast<uint8_t>(DType::kI64) || ndim > 8) {
       ok_ = false;
       return Tensor();
     }
@@ -118,13 +127,19 @@ class BinaryReader {
       shape.push_back(dim);
       numel *= dim;
     }
-    Tensor t = Tensor::Empty(shape, dtype);
+    // Nothing is allocated for data the file does not hold.
+    if (numel > left_ / 4) {
+      ok_ = false;
+      return Tensor();
+    }
+    Tensor t = Tensor::Empty(shape, static_cast<DType>(dtype));
     Raw(t.data(), static_cast<size_t>(numel) * 4);
     return t;
   }
 
  private:
   std::FILE* f_;
+  int64_t left_ = 0;  // bytes between the read position and end of file
   bool ok_ = true;
 };
 

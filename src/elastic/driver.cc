@@ -70,7 +70,6 @@ TrainLoopDriver::TrainLoopDriver(DriverConfig cfg)
         RendezvousStore::Options o;
         o.join_timeout_ms = cfg_.rendezvous_timeout_ms;
         o.watchdog_ms = cfg_.watchdog_ms;
-        o.desync_detection = cfg_.desync_detection;
         o.post_build = cfg_.post_build;
         return o;
       }()) {}

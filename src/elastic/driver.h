@@ -71,7 +71,6 @@ struct DriverConfig {
   int64_t load_step = -1;
   double watchdog_ms = 200;      // per fresh mesh; 0 = no watchdog
   double rendezvous_timeout_ms = 2000;
-  bool desync_detection = false;
   PlannedResize resize;
   /// After each recovery, compare the first post-resume step's executed
   /// schedule against the PlanBuilder's expected plan (the anti-drift check

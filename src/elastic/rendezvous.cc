@@ -42,7 +42,7 @@ void RendezvousStore::Finalize(Round& round) {
   round.view.world_size = world;
   round.view.mesh = std::make_shared<comm::DeviceMesh>(world, world);
   if (opts_.watchdog_ms > 0) round.view.mesh->SetDefaultTimeout(opts_.watchdog_ms);
-  if (opts_.desync_detection) round.view.mesh->SetDesyncDetection(true);
+  round.view.mesh->SetDesyncDetection(true);
   if (opts_.post_build) opts_.post_build(*round.view.mesh, round.view.generation);
   round.finalized = true;
 }

@@ -56,10 +56,10 @@ class RendezvousStore {
     /// finalizes with whoever arrived within this window (when the expected
     /// count isn't reached first).
     double join_timeout_ms = 2000;
-    /// Applied to every fresh mesh: watchdog default timeout (0 = off) and
-    /// desync detection.
+    /// Watchdog default timeout applied to every fresh mesh (0 = off).
+    /// Every fresh mesh also checks desync: a rank that skips or reorders a
+    /// collective is named at once instead of after a watchdog timeout.
     double watchdog_ms = 0;
-    bool desync_detection = false;
     /// Called once per round on the freshly built mesh (fault-drill
     /// injection point).
     std::function<void(comm::DeviceMesh&, int64_t generation)> post_build;

@@ -206,6 +206,10 @@ Status CheckUnitLayout(const std::vector<ShardFile>& files, size_t u) {
       }
       numel *= d;
     }
+    // A 0-d param still takes one element.
+    if (numel > room) {
+      return Status::Invalid(where + " runs past the end of the flat");
+    }
   }
   return Status::OK();
 }

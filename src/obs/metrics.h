@@ -1,11 +1,11 @@
 // Metrics registry: named counters, gauges, and histograms with a JSON
-// snapshot — the stable reporting surface that supersedes ad-hoc stat
-// structs (comm::CommStats, sim::AllocatorStats remain as cheap per-object
-// views; the registry is the cross-cutting, name-addressed aggregate).
+// snapshot — the cross-cutting, name-addressed aggregate. Per-object views
+// stay where they are: collective traffic is counted only in each rank's
+// comm::CommStats (ProcessGroup::stats()), allocator state in
+// sim::AllocatorStats.
 //
 // Naming scheme (dot-separated, lowercase):
-//   comm.allgather.{count,bytes}      comm.reducescatter.{count,bytes}
-//   comm.allreduce.{count,bytes}     comm.broadcast.{count,bytes}
+//   comm.{timeouts,desyncs,aborts}   elastic.{recoveries,ranks_lost,...}
 //   fsdp.throttled_prefetches        fsdp.order_changes
 //   alloc.{allocated,active,reserved}.peak   alloc.retries
 //   <bench-specific histograms: e.g. fsdp.unshard.us>

@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "core/fsdp.h"
 #include "ddp/ddp.h"
 #include "nn/transformer.h"
+#include "obs/trace.h"
 #include "optim/optimizer.h"
 #include "tests/test_util.h"
 
@@ -51,6 +53,63 @@ TEST(WorkHandle, SyncCallReturnsCompletedWork) {
     EXPECT_GE(work.complete_us(), work.issue_us());
     for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(t.data()[i], 2.f);
   });
+}
+
+// One record per collective: a Work's stamps, its flight record and its
+// comm-lane span carry the very same numbers, and the span is in the
+// collector by the time Wait() returns.
+TEST(WorkHandle, StampsEqualFlightRecordAndSpanExactly) {
+  const int w = 4;
+  const int64_t n = 8;
+  auto& collector = obs::TraceCollector::Get();
+  collector.Clear();
+  collector.set_enabled(true);
+  auto comm = std::make_shared<comm::Communicator>(w);
+  RunOnRanks(w, [&](int r) {
+    comm::ProcessGroup pg(comm, r);
+    std::vector<float> shard(n, static_cast<float>(r)), full(n * w);
+    std::vector<float> grad(n * w, 1.f), reduced(n);
+    for (bool async : {false, true}) {
+      comm::CollectiveOptions opts;
+      opts.async = async;
+      std::vector<comm::Work> works = {
+          pg.AllGatherBase(full.data(), shard.data(), n, opts),
+          pg.ReduceScatter(reduced.data(), grad.data(), n, opts),
+          pg.Barrier(opts)};
+      for (const comm::Work& work : works) {
+        work.Wait();
+        const std::string what = "rank " + std::to_string(r) + " op #" +
+                                 std::to_string(work.seq()) +
+                                 (async ? " async" : " sync");
+        EXPECT_LE(work.issue_us(), work.start_us()) << what;
+        EXPECT_LE(work.start_us(), work.complete_us()) << what;
+
+        int records = 0;
+        for (const comm::FlightRecord& rec :
+             comm->flight_recorder().Records(r)) {
+          if (rec.seq != work.seq()) continue;
+          ++records;
+          EXPECT_EQ(rec.state, comm::OpState::kCompleted) << what;
+          EXPECT_EQ(rec.issue_us, work.issue_us()) << what;
+          EXPECT_EQ(rec.start_us, work.start_us()) << what;
+          EXPECT_EQ(rec.complete_us, work.complete_us()) << what;
+        }
+        EXPECT_EQ(records, 1) << what;
+
+        int spans = 0;
+        for (const obs::TraceEvent& e : collector.SnapshotRank(r)) {
+          if (e.lane != "comm" || e.t_begin_us != work.issue_us()) continue;
+          ++spans;
+          EXPECT_EQ(e.t_exec_us, work.start_us()) << what;
+          EXPECT_EQ(e.t_end_us, work.complete_us()) << what;
+          EXPECT_EQ(e.bytes, work.bytes()) << what;
+        }
+        EXPECT_EQ(spans, 1) << what;
+      }
+    }
+  });
+  collector.set_enabled(false);
+  collector.Clear();
 }
 
 TEST(WorkHandle, AsyncWorkPendingUntilWait) {

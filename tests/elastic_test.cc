@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "comm/process_group.h"
+#include "common/rng.h"
 #include "common/threading.h"
 #include "core/fsdp.h"
 #include "elastic/driver.h"
@@ -286,21 +287,28 @@ std::string WithI64(std::string bytes, size_t pos, int64_t v) {
   return bytes;
 }
 
+std::string WithU32(std::string bytes, size_t pos, uint32_t v) {
+  std::memcpy(bytes.data() + pos, &v, 4);
+  return bytes;
+}
+
+/// Saves a fresh model's world-size-`w` shard set at `step` under `stem`.
+void SaveShardSet(const std::string& stem, int64_t step, int w) {
+  comm::DeviceMesh mesh(w, w);
+  RunOnRanks(w, [&](int r) {
+    auto state = core::FullyShard(MakeModel(42), mesh, r, DrillFsdpOptions());
+    ASSERT_TRUE(
+        elastic::SaveShardedCheckpoint(stem, step, *state, nullptr).ok());
+  });
+}
+
 // Corrupt header values come back as a Status: nothing is sliced or
 // allocated from an unchecked offset, dim or size.
 TEST(ShardedCkptTest, CorruptFilesReturnStatus) {
   const std::string stem = TempStem("corrupt");
   RemoveShardFiles(stem);
   const int w = 2;
-  {
-    comm::DeviceMesh mesh(w, w);
-    RunOnRanks(w, [&](int r) {
-      auto state =
-          core::FullyShard(MakeModel(42), mesh, r, DrillFsdpOptions());
-      ASSERT_TRUE(
-          elastic::SaveShardedCheckpoint(stem, 0, *state, nullptr).ok());
-    });
-  }
+  SaveShardSet(stem, 0, w);
   ASSERT_TRUE(elastic::AssembleShardedCheckpoint(stem, 0).ok());
   const std::string rank0 = elastic::ShardFileName(stem, 0, 0, w);
   const std::string rank1 = elastic::ShardFileName(stem, 0, 1, w);
@@ -339,6 +347,64 @@ TEST(ShardedCkptTest, CorruptFilesReturnStatus) {
   }
   WriteBytes(rank0, good0);
   EXPECT_TRUE(elastic::AssembleShardedCheckpoint(stem, 0).ok());
+
+  // A header world size N that disagrees with the file name.
+  constexpr size_t kWorldSizeAt = 8 + 4;  // after magic and version
+  for (uint32_t n : {0u, 1u, 4u, 0xFFFFFFFFu}) {
+    WriteBytes(rank1, WithU32(good1, kWorldSizeAt, n));
+    auto assembled = elastic::AssembleShardedCheckpoint(stem, 0);
+    EXPECT_EQ(assembled.status().code(), StatusCode::kInvalidArgument)
+        << "header N " << n << ": " << assembled.status().ToString();
+  }
+  WriteBytes(rank1, good1);
+
+  // Seeded random byte flips over every file of the set: each read returns
+  // OK or a Status, never aborts or allocates past what the file holds.
+  Rng rng(/*seed=*/24, /*stream=*/0);
+  int rejected = 0;
+  for (const auto& [path, good] :
+       {std::pair{rank0, good0}, std::pair{rank1, good1}}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      std::string bytes = good;
+      const uint64_t flips = 1 + rng.NextBelow(4);
+      for (uint64_t i = 0; i < flips; ++i) {
+        bytes[rng.NextBelow(bytes.size())] ^=
+            static_cast<char>(1 + rng.NextBelow(255));
+      }
+      WriteBytes(path, bytes);
+      rejected += !elastic::AssembleShardedCheckpoint(stem, 0).ok();
+      EXPECT_EQ(elastic::LatestShardedStep(stem), 0);  // names untouched
+    }
+    WriteBytes(path, good);
+  }
+  EXPECT_GT(rejected, 0);
+
+  // World-mismatched sets at one step: a 4-set next to the 2-set.
+  SaveShardSet(stem, 0, 4);
+  auto both = elastic::AssembleShardedCheckpoint(stem, 0);
+  ASSERT_TRUE(both.ok()) << both.status().ToString();
+  EXPECT_TRUE(both->world_size == 2 || both->world_size == 4);
+  const std::string four3 = elastic::ShardFileName(stem, 0, 3, 4);
+  const std::string good_four3 = ReadBytes(four3);
+  std::filesystem::remove(four3);
+  auto two_only = elastic::AssembleShardedCheckpoint(stem, 0);
+  ASSERT_TRUE(two_only.ok()) << two_only.status().ToString();
+  EXPECT_EQ(two_only->world_size, 2);
+  WriteBytes(four3, good_four3);
+  std::filesystem::remove(rank1);
+  auto four_only = elastic::AssembleShardedCheckpoint(stem, 0);
+  ASSERT_TRUE(four_only.ok()) << four_only.status().ToString();
+  EXPECT_EQ(four_only->world_size, 4);
+  // The 4-set's rank files under the 2-set's names (the 4-set incomplete,
+  // so the 2-set is the one assembled).
+  std::filesystem::remove(four3);
+  for (int r = 0; r < w; ++r) {
+    WriteBytes(elastic::ShardFileName(stem, 0, r, w),
+               ReadBytes(elastic::ShardFileName(stem, 0, r, 4)));
+  }
+  auto renamed = elastic::AssembleShardedCheckpoint(stem, 0);
+  EXPECT_EQ(renamed.status().code(), StatusCode::kInvalidArgument)
+      << renamed.status().ToString();
   RemoveShardFiles(stem);
 }
 

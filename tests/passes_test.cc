@@ -10,8 +10,10 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "plan/builder.h"
 #include "plan/passes.h"
+#include "plan/perturb.h"
 #include "plan/plan.h"
 #include "sim/allocator.h"
 #include "simfsdp/schedule.h"
@@ -171,6 +173,75 @@ TEST(PlanValidatorTest, AcceptsReduceOnlyLogs) {
   plan::StepPlan p = MakePlan({"b0", "b1"}, {Reduce(0), Reduce(1)});
   const Status st = plan::PlanValidator{}.Check(p);
   EXPECT_TRUE(st.ok()) << st.message();
+}
+
+// Property: seeded random sequences of 1-4 drop/swap/delay perturbations
+// over the builder's FSDP plans (three strategies x backward prefetch) never
+// abort the validator, and every plan it accepts runs through the
+// explicit-plan simulator without tripping a check.
+TEST(PlanValidatorTest, RandomPerturbationsValidateOrSimulate) {
+  simfsdp::TransformerShape shape;
+  shape.name = "perturb-toy";
+  shape.hidden = 256;
+  shape.layers = 4;
+  shape.heads = 4;
+  shape.seq = 64;
+  shape.vocab = 512;
+  const simfsdp::Workload w = simfsdp::MakeTransformer(shape);
+  const sim::Topology topo{1, 8};
+  struct Strategy {
+    const char* name;
+    int sharding_factor;
+    bool reshard_after_forward;
+  };
+  const Strategy strategies[] = {{"FULL_SHARD", 0, true},
+                                 {"SHARD_GRAD_OP", 0, false},
+                                 {"HYBRID_SHARD", 4, true}};
+  const plan::PlanValidator validator;
+  Rng rng(/*seed=*/7, /*stream=*/0);
+  int accepted = 0, rejected = 0;
+  for (const Strategy& strategy : strategies) {
+    for (bool prefetch : {false, true}) {
+      simfsdp::FsdpSimConfig cfg;
+      cfg.sharding_factor = strategy.sharding_factor;
+      cfg.reshard_after_forward = strategy.reshard_after_forward;
+      cfg.backward_prefetch = prefetch;
+      cfg.iterations = 1;
+      const plan::StepPlan base = simfsdp::BuildSimStepPlan(w, topo, cfg);
+      ASSERT_TRUE(validator.Check(base).ok()) << strategy.name;
+      for (int trial = 0; trial < 100; ++trial) {
+        plan::StepPlan p = base;
+        std::string edits;
+        const uint64_t steps = 1 + rng.NextBelow(4);
+        for (uint64_t k = 0; k < steps && p.size() > 1; ++k) {
+          plan::Perturbation edit;
+          edit.kind = static_cast<plan::PerturbKind>(rng.NextBelow(3));
+          const int span = edit.kind == plan::PerturbKind::kSwapAdjacent
+                               ? p.size() - 1
+                               : p.size();
+          edit.index = static_cast<int>(rng.NextBelow(span));
+          edit.delay_us = rng.NextUniform(0, 5000);
+          edits += " " + plan::DescribePerturbation(p, edit);
+          p = plan::ApplyPerturbation(p, edit);
+        }
+        if (!validator.Check(p).ok()) {
+          ++rejected;
+          continue;
+        }
+        ++accepted;
+        SCOPED_TRACE(std::string(strategy.name) +
+                     (prefetch ? " prefetch" : "") + ":" + edits);
+        const simfsdp::SimMetrics m =
+            simfsdp::FsdpSimulator(w, topo, sim::SimConstants{}, cfg, p)
+                .Run();
+        EXPECT_GT(m.iter_time_us, 0);
+      }
+    }
+  }
+  // Both verdicts occur: delays alone keep a plan valid, drops of a
+  // collective do not.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // ----------------------------------------------------------------- rewrites

@@ -73,13 +73,22 @@ TEST(SerializeTest, RejectsGarbageAndTruncation) {
   std::remove(path.c_str());
 }
 
-// A shape whose product overflows int64 must fail the read, not wrap to a
-// small numel and reach Tensor::Empty with a bogus shape.
+// A shape whose product overflows int64, or whose data the file does not
+// hold, must fail the read, not wrap to a small numel or reach Tensor::Empty
+// with a bogus shape (2^31 floats would be an 8 GiB zeroed allocation). So
+// must an unknown dtype byte.
 TEST(SerializeTest, RejectsShapesWhoseNumelOverflows) {
   const std::string path = TempPath("overflow.ckpt");
-  const std::vector<std::vector<int64_t>> shapes = {{1LL << 32, 1LL << 32},
-                                                    {1LL << 62, 4}};
-  for (const std::vector<int64_t>& dims : shapes) {
+  struct Case {
+    uint8_t dtype;
+    std::vector<int64_t> dims;
+  };
+  const uint8_t f32 = static_cast<uint8_t>(DType::kF32);
+  const std::vector<Case> cases = {{f32, {1LL << 32, 1LL << 32}},
+                                   {f32, {1LL << 62, 4}},
+                                   {f32, {1LL << 30, 2}},
+                                   {200, {1, 2}}};
+  for (const Case& c : cases) {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     core::BinaryWriter w(f);
@@ -88,13 +97,16 @@ TEST(SerializeTest, RejectsShapesWhoseNumelOverflows) {
     w.U32(1);  // entries
     w.U8(0);   // state-dict tensor
     w.Str("w");
-    w.U8(static_cast<uint8_t>(DType::kF32));
-    w.U32(static_cast<uint32_t>(dims.size()));
-    for (int64_t d : dims) w.I64(d);
+    w.U8(c.dtype);
+    w.U32(static_cast<uint32_t>(c.dims.size()));
+    for (int64_t d : c.dims) w.I64(d);
+    const float data[2] = {1.f, 2.f};  // enough for the 1 x 2 case only
+    w.Raw(data, sizeof(data));
     ASSERT_TRUE(w.ok());
     std::fclose(f);
     EXPECT_FALSE(core::LoadCheckpoint(path).ok())
-        << "dims " << dims[0] << " x " << dims[1];
+        << "dtype " << int{c.dtype} << ", dims " << c.dims[0] << " x "
+        << c.dims[1];
   }
   std::remove(path.c_str());
 }
