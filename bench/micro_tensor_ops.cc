@@ -114,6 +114,37 @@ void BM_AutogradLinearBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_AutogradLinearBackward)->Arg(64)->Arg(256);
 
+// The backward through one dim-256 transformer block's FlatParameter: its 12
+// parameter views (registration order: ln1, qkv, out, ln2, fc1, fc2) each
+// land their gradient in the 789,760-element flat gradient. The graph is
+// built once; each iteration runs the backward into a cleared .grad, which
+// includes one SumBackward fill per view.
+void BM_FlatParamViewsBackward(benchmark::State& state) {
+  const std::vector<Shape> shapes = {{256},       {256},  {768, 256}, {768},
+                                     {256, 256},  {256},  {256},      {256},
+                                     {1024, 256}, {1024}, {256, 1024}, {256}};
+  int64_t numel = 0;
+  for (const Shape& s : shapes) numel += NumelOf(s);
+  Rng rng(7, 0);
+  Tensor flat = Tensor::Randn({numel}, rng);
+  flat.set_requires_grad(true);
+  Tensor loss;
+  int64_t offset = 0;
+  for (const Shape& s : shapes) {
+    Tensor term = ops::Sum(ops::SliceView(flat, offset, s));
+    loss = loss.defined() ? ops::Add(loss, term) : term;
+    offset += NumelOf(s);
+  }
+  for (auto _ : state) {
+    flat.zero_grad();
+    autograd::RunBackward(loss);
+    benchmark::DoNotOptimize(flat.grad().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * numel * 4);
+}
+BENCHMARK(BM_FlatParamViewsBackward)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 }  // namespace fsdp
 

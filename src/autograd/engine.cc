@@ -87,12 +87,11 @@ void DiscoverGraph(const std::shared_ptr<TensorImpl>& root, ExecState* st) {
   }
 }
 
-void AccumulateInto(Tensor* acc, const Tensor& part) {
-  if (!acc->defined()) {
-    *acc = part.Clone();
-  } else {
-    acc->Add_(part);
-  }
+/// `t` itself when the engine may keep it (Tensor::UniquelyOwned); a copy
+/// when anything else can see it — a node's saved tensor, a hook's capture,
+/// or the other half of AddBackward's {g, g}.
+Tensor AdoptOrClone(const Tensor& t) {
+  return t.UniquelyOwned() ? t : t.Clone();
 }
 
 /// A tensor's gradient is complete: schedule it. Its hooks run when the task
@@ -106,18 +105,21 @@ void ScheduleFinalized(const std::shared_ptr<TensorImpl>& impl, Tensor grad,
   st->queue.push(Task{priority, st->next_order++, impl, std::move(grad)});
 }
 
-/// Routes one gradient contribution to `impl`; schedules when the last
-/// expected contribution arrives.
-void Contribute(const std::shared_ptr<TensorImpl>& impl, const Tensor& part,
-                ExecState* st) {
+/// Routes one gradient contribution to `impl`: `fold(&acc, pending)` adds
+/// it into the partial gradient, which is undefined before the first
+/// contribution; `pending` counts the contributions still expected, this one
+/// included. Schedules the gradient when the last expected one arrives.
+template <typename Fold>
+void Contribute(const std::shared_ptr<TensorImpl>& impl, ExecState* st,
+                Fold&& fold) {
   auto it = st->remaining.find(impl.get());
   FSDP_CHECK_MSG(it != st->remaining.end() && it->second > 0,
                  "gradient contribution to a tensor with no pending "
                  "dependencies");
   Tensor& acc = st->partial[impl.get()];
-  AccumulateInto(&acc, part);
+  fold(&acc, it->second);
   if (--it->second == 0) {
-    Tensor grad = acc;
+    Tensor grad = std::move(acc);
     st->partial.erase(impl.get());
     ScheduleFinalized(impl, std::move(grad), st);
   }
@@ -133,6 +135,16 @@ void RunTask(Task task, ExecState* st) {
     GradFn* node = task.impl->grad_fn.get();
     FSDP_CHECK_MSG(st->reachable_nodes.count(node),
                    "finalized tensor whose producer is not in this graph");
+    if (const auto* window = dynamic_cast<const WindowGradFn*>(node)) {
+      const auto& input = node->inputs[0];
+      if (!Participates(input)) return;
+      Contribute(input, st, [&](Tensor* acc, int pending) {
+        const bool only = !acc->defined() && pending == 1;
+        if (!acc->defined()) *acc = Tensor::Zeros(input->shape);
+        window->AddWindow(grad, only, acc);
+      });
+      return;
+    }
     std::vector<Tensor> grads = node->Backward(grad);
     FSDP_CHECK_MSG(grads.size() == node->inputs.size(),
                    node->name() << " returned " << grads.size()
@@ -144,7 +156,13 @@ void RunTask(Task task, ExecState* st) {
       FSDP_CHECK_MSG(grads[i].defined(),
                      node->name() << " produced no grad for participating "
                                   << "input " << i);
-      Contribute(input, grads[i], st);
+      Contribute(input, st, [&](Tensor* acc, int) {
+        if (acc->defined()) {
+          acc->Add_(grads[i]);
+        } else {
+          *acc = AdoptOrClone(grads[i]);
+        }
+      });
     }
     return;
   }
@@ -152,7 +170,7 @@ void RunTask(Task task, ExecState* st) {
     // AccumulateGrad: leaves add into .grad across backward passes, then the
     // post-accumulate hooks (FSDP's post-backward anchor) fire.
     if (!task.impl->grad) {
-      Tensor g = grad.Clone();
+      Tensor g = AdoptOrClone(grad);
       if (g.shape() != task.impl->shape) g = g.ViewAs(task.impl->shape);
       task.impl->grad = g.impl();
     } else {

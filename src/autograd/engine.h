@@ -8,6 +8,9 @@
 //    propagation (FSDP's pre-backward unshard anchors here).
 //  * Leaf accumulation: finalized leaf grads add into .grad, then the leaf's
 //    post-accumulate hooks fire (FSDP launches ReduceScatter here).
+//  * One accumulator per tensor: window nodes (WindowGradFn) add into it in
+//    place, and a uniquely owned gradient (Tensor::UniquelyOwned) is kept
+//    rather than cloned — as a first contribution or a leaf's first .grad.
 //  * QueueCallback: callbacks run once, after the whole backward finishes
 //    (FSDP waits for pending collectives here; paper Sec 4.3).
 //  * Unused parameters simply never finalize — no error, matching eager

@@ -39,6 +39,23 @@ struct GradFn {
   uint64_t seq = 0;
 };
 
+/// A single-input node whose input's gradient is grad_output placed at one
+/// fixed window of the input and zero elsewhere (SliceView, SliceCols). The
+/// engine never asks it for that input-shaped tensor: it hands the node the
+/// input's accumulator, zero-filled once in the input's shape, and the node
+/// adds grad_output into its window. `copy` is set when this is the
+/// accumulator's only contribution; the node then copies instead of adding,
+/// so a -0 keeps its sign as it does in a lone materialized gradient.
+struct WindowGradFn : GradFn {
+  virtual void AddWindow(const Tensor& grad_output, bool copy,
+                         Tensor* acc) const = 0;
+
+  std::vector<Tensor> Backward(const Tensor&) final {
+    FSDP_CHECK_MSG(false, name() << " accumulates through the engine");
+    return {};
+  }
+};
+
 /// Monotonic per-thread node sequence (each rank thread builds its own
 /// graphs).
 uint64_t NextNodeSeq();

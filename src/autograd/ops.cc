@@ -320,18 +320,18 @@ struct ReshapeFn : GradFn {
   }
 };
 
-struct SliceViewFn : GradFn {
-  Shape base_shape;
+struct SliceViewFn : WindowGradFn {
   int64_t offset;
   std::string name() const override { return "SliceViewBackward"; }
-  std::vector<Tensor> Backward(const Tensor& g) override {
-    // Gradient w.r.t. the base: zeros everywhere except the window — this is
-    // how each original parameter's gradient lands at its offset in the
-    // FlatParameter gradient.
-    Tensor gb = Tensor::Zeros(base_shape);
-    std::memcpy(gb.data() + offset, g.data(),
-                static_cast<size_t>(g.numel()) * 4);
-    return {gb};
+  // Each original parameter's gradient lands at its offset in the
+  // FlatParameter gradient.
+  void AddWindow(const Tensor& g, bool copy, Tensor* acc) const override {
+    float* dst = acc->data() + offset;
+    if (copy) {
+      std::memcpy(dst, g.data(), static_cast<size_t>(g.numel()) * 4);
+    } else {
+      kernels::Accumulate(dst, g.data(), g.numel());
+    }
   }
 };
 }  // namespace
@@ -347,7 +347,6 @@ Tensor Reshape(const Tensor& x, Shape shape) {
 Tensor SliceView(const Tensor& x, int64_t offset, Shape shape) {
   Tensor out = x.SliceView(offset, shape);
   auto node = std::make_shared<SliceViewFn>();
-  node->base_shape = x.shape();
   node->offset = offset;
   Attach(&out, std::move(node), {x});
   return out;
@@ -360,17 +359,20 @@ Tensor SliceRows(const Tensor& x, int64_t r0, int64_t r1) {
 }
 
 namespace {
-struct SliceColsFn : GradFn {
-  int64_t rows, cols, c0, c1;
+struct SliceColsFn : WindowGradFn {
+  int64_t cols, c0, c1;
   std::string name() const override { return "SliceColsBackward"; }
-  std::vector<Tensor> Backward(const Tensor& g) override {
-    Tensor gb = Tensor::Zeros({rows, cols});
-    const int64_t w = c1 - c0;
+  void AddWindow(const Tensor& g, bool copy, Tensor* acc) const override {
+    const int64_t w = c1 - c0, rows = g.numel() / w;
     for (int64_t r = 0; r < rows; ++r) {
-      std::memcpy(gb.data() + r * cols + c0, g.data() + r * w,
-                  static_cast<size_t>(w) * 4);
+      float* dst = acc->data() + r * cols + c0;
+      const float* src = g.data() + r * w;
+      if (copy) {
+        std::memcpy(dst, src, static_cast<size_t>(w) * 4);
+      } else {
+        kernels::Accumulate(dst, src, w);
+      }
     }
-    return {gb};
   }
 };
 
@@ -406,7 +408,6 @@ Tensor SliceCols(const Tensor& x, int64_t c0, int64_t c1) {
                 static_cast<size_t>(w) * 4);
   }
   auto node = std::make_shared<SliceColsFn>();
-  node->rows = rows;
   node->cols = cols;
   node->c0 = c0;
   node->c1 = c1;

@@ -6,8 +6,9 @@
 //
 //  * SliceView / Reshape are *storage-sharing* autograd-visible views. FSDP
 //    sets each original parameter to be a SliceView into the unsharded
-//    FlatParameter; the backward of SliceView writes the view's gradient at
-//    the right offset of a FlatParameter-shaped gradient, and the engine's
+//    FlatParameter; the backward of SliceView adds the view's gradient at
+//    its offset into the engine's one zero-filled FlatParameter-shaped
+//    accumulator (a WindowGradFn, autograd/node.h), and the engine's
 //    dependency counting finalizes the FlatParameter grad exactly once all
 //    used views have contributed — reproducing torch.split/view backward.
 //  * Cast quantizes through a reduced-precision format in the forward and

@@ -66,23 +66,61 @@ void CountTraffic(CommStats& s, obs::EventKind kind, int64_t bytes) {
   }
 }
 
+/// ReduceSlots for one (op, comm dtype) pair. Elements go in blocks with the
+/// peers as the outer loop, so the branches leave the inner loop while each
+/// element still sees acc = Q(op(acc, slot_k)) for k = 1.. in rank order.
+/// A block is read from every slot before it is written to dst.
+template <ReduceOp Op, DType D>
+void ReduceSlotsAs(const std::vector<const float*>& slots, int64_t off,
+                   int64_t n, float* dst) {
+  constexpr int64_t kBlock = 512;
+  const int w = static_cast<int>(slots.size());
+  float acc[kBlock];
+  for (int64_t b = 0; b < n; b += kBlock) {
+    const int64_t len = std::min(kBlock, n - b);
+    std::memcpy(acc, slots[0] + off + b, static_cast<size_t>(len) * 4);
+    for (int k = 1; k < w; ++k) {
+      const float* src = slots[k] + off + b;
+      for (int64_t i = 0; i < len; ++i) {
+        const float v = (Op == ReduceOp::kMax) ? std::max(acc[i], src[i])
+                                               : acc[i] + src[i];
+        acc[i] = Quantize(v, D);
+      }
+    }
+    if constexpr (Op == ReduceOp::kAvg) {
+      for (int64_t i = 0; i < len; ++i) {
+        acc[i] = Quantize(acc[i] / static_cast<float>(w), D);
+      }
+    }
+    std::memcpy(dst + b, acc, static_cast<size_t>(len) * 4);
+  }
+}
+
+template <DType D>
+void ReduceSlotsIn(const std::vector<const float*>& slots, int64_t off,
+                   int64_t n, ReduceOp op, float* dst) {
+  switch (op) {
+    case ReduceOp::kSum:
+      return ReduceSlotsAs<ReduceOp::kSum, D>(slots, off, n, dst);
+    case ReduceOp::kAvg:
+      return ReduceSlotsAs<ReduceOp::kAvg, D>(slots, off, n, dst);
+    case ReduceOp::kMax:
+      return ReduceSlotsAs<ReduceOp::kMax, D>(slots, off, n, dst);
+  }
+}
+
 /// Reduces element range [off, off + n) across every rank's slot into dst:
 /// peers in rank order, quantizing each partial sum through comm_dtype.
 void ReduceSlots(const std::vector<const float*>& slots, int64_t off,
                  int64_t n, ReduceOp op, DType comm_dtype, float* dst) {
-  const int w = static_cast<int>(slots.size());
-  for (int64_t i = 0; i < n; ++i) {
-    float acc = slots[0][off + i];
-    for (int k = 1; k < w; ++k) {
-      const float v = slots[k][off + i];
-      acc = (op == ReduceOp::kMax) ? std::max(acc, v) : acc + v;
-      if (comm_dtype != DType::kF32) acc = Quantize(acc, comm_dtype);
-    }
-    if (op == ReduceOp::kAvg) {
-      acc /= static_cast<float>(w);
-      if (comm_dtype != DType::kF32) acc = Quantize(acc, comm_dtype);
-    }
-    dst[i] = acc;
+  switch (comm_dtype) {
+    case DType::kBF16:
+      return ReduceSlotsIn<DType::kBF16>(slots, off, n, op, dst);
+    case DType::kF16:
+      return ReduceSlotsIn<DType::kF16>(slots, off, n, op, dst);
+    case DType::kF32:
+    case DType::kI64:  // Quantize is the identity for both
+      return ReduceSlotsIn<DType::kF32>(slots, off, n, op, dst);
   }
 }
 

@@ -188,6 +188,14 @@ Tensor Tensor::ViewAs(Shape shape) const {
   return SliceView(0, std::move(shape));
 }
 
+bool Tensor::UniquelyOwned() const {
+  return defined() && impl_.use_count() == 1 &&
+         impl_->storage.use_count() == 1 && impl_->offset == 0 &&
+         impl_->storage->numel() == numel() && !impl_->requires_grad &&
+         !impl_->grad && !impl_->grad_fn && impl_->hooks.empty() &&
+         impl_->post_accumulate_hooks.empty();
+}
+
 Tensor Tensor::Clone() const {
   Tensor out = Empty(impl_->shape, impl_->dtype);
   std::memcpy(out.data(), data(), static_cast<size_t>(numel()) * 4);

@@ -165,6 +165,10 @@ class Tensor {
   bool SharesStorageWith(const Tensor& other) const {
     return defined() && other.defined() && impl_->storage == other.impl_->storage;
   }
+  /// True if this handle is the only one to its impl and storage, the
+  /// tensor spans its whole storage from element 0, and it carries no
+  /// autograd state: whoever holds the handle may keep it without a copy.
+  bool UniquelyOwned() const;
 
   // ----- raw data -----
   float* data() { return impl_->storage->data() + impl_->offset; }

@@ -1,6 +1,9 @@
 // Collective-communication tests: correctness of every collective against a
 // naive reference, subgroup (DeviceMesh) structure, and byte accounting —
 // across several world sizes via parameterized suites.
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -79,6 +82,68 @@ TEST_P(CollectiveTest, AllReduceSumAvgMax) {
     max_opts.op = comm::ReduceOp::kMax;
     pg.AllReduce(mx.data(), 1, max_opts);
     ASSERT_EQ(mx[0], 42.f);
+  });
+}
+
+/// Rank r's input element i: signed values over several binades, with
+/// exact zeros of both signs and equal values across ranks mixed in.
+float ReduceInput(int r, int64_t i) {
+  uint32_t h = static_cast<uint32_t>(r + 1) * 2654435761u ^
+               static_cast<uint32_t>(i) * 2246822519u;
+  h ^= h >> 15;
+  h *= 2654435761u;
+  h ^= h >> 13;
+  if (h % 23 == 0) return (h & 64) ? -0.f : 0.f;
+  if (h % 29 == 0) return 1.5f;  // same on every rank that draws it
+  const float mag = static_cast<float>(h % 20011) / 1000.f;
+  const float scale = std::ldexp(1.f, static_cast<int>(h >> 28) - 6);
+  return ((h & 1) ? -mag : mag) * scale;
+}
+
+/// The reduction contract, one element at a time: peers in rank order,
+/// every partial result (and the average) rounded through comm_dtype.
+float ReduceFormula(int w, int64_t i, comm::ReduceOp op, DType dtype) {
+  float acc = ReduceInput(0, i);
+  for (int k = 1; k < w; ++k) {
+    const float v = ReduceInput(k, i);
+    acc = op == comm::ReduceOp::kMax ? std::max(acc, v) : acc + v;
+    if (dtype != DType::kF32) acc = Quantize(acc, dtype);
+  }
+  if (op == comm::ReduceOp::kAvg) {
+    acc /= static_cast<float>(w);
+    if (dtype != DType::kF32) acc = Quantize(acc, dtype);
+  }
+  return acc;
+}
+
+TEST_P(CollectiveTest, ReductionsMatchPerElementFormulaBitwise) {
+  const int w = GetParam();
+  const int64_t n = 1100;  // per-rank chunk: spans several reduce blocks
+  auto comm = std::make_shared<comm::Communicator>(w);
+  RunOnRanks(w, [&](int r) {
+    comm::ProcessGroup pg(comm, r);
+    for (comm::ReduceOp op :
+         {comm::ReduceOp::kSum, comm::ReduceOp::kAvg, comm::ReduceOp::kMax}) {
+      for (DType dtype : {DType::kF32, DType::kBF16}) {
+        comm::CollectiveOptions opts;
+        opts.op = op;
+        opts.comm_dtype = dtype;
+        std::vector<float> src(static_cast<size_t>(w * n));
+        for (int64_t i = 0; i < w * n; ++i) src[i] = ReduceInput(r, i);
+        std::vector<float> chunk(n), want(w * n);
+        for (int64_t i = 0; i < w * n; ++i) {
+          want[i] = ReduceFormula(w, i, op, dtype);
+        }
+        pg.ReduceScatter(chunk.data(), src.data(), n, opts);
+        ASSERT_EQ(std::memcmp(chunk.data(), want.data() + r * n, n * 4), 0)
+            << "ReduceScatter op " << static_cast<int>(op) << " dtype "
+            << DTypeName(dtype) << " rank " << r;
+        pg.AllReduce(src.data(), w * n, opts);
+        ASSERT_EQ(std::memcmp(src.data(), want.data(), w * n * 4), 0)
+            << "AllReduce op " << static_cast<int>(op) << " dtype "
+            << DTypeName(dtype) << " rank " << r;
+      }
+    }
   });
 }
 
