@@ -26,33 +26,44 @@ void BM_Gemm(benchmark::State& state) {
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
 
 // The transformer's Linear GEMMs (32 rows, dim 256): forward x . W^T (NT),
-// input gradient g . W (NN) and weight gradient g^T . x (TN). Args are
-// {m, n, k, trans_a, trans_b}; a transposed operand has the same numel.
+// input gradient g . W (NN) and weight gradient g^T . x (TN), on every GEMM
+// path this CPU supports. Args are {isa, m, n, k, trans_a, trans_b}, isa
+// being a kernels::GemmIsa; a transposed operand has the same numel.
 void BM_GemmLinear(benchmark::State& state) {
-  const int64_t m = state.range(0), n = state.range(1), k = state.range(2);
-  const bool trans_a = state.range(3) != 0, trans_b = state.range(4) != 0;
+  const auto isa = static_cast<kernels::GemmIsa>(state.range(0));
+  const int64_t m = state.range(1), n = state.range(2), k = state.range(3);
+  const bool trans_a = state.range(4) != 0, trans_b = state.range(5) != 0;
   Rng rng(6, 0);
   Tensor a = Tensor::Randn({m, k}, rng);
   Tensor b = Tensor::Randn({k, n}, rng);
   Tensor c = Tensor::Empty({m, n});
   for (auto _ : state) {
-    kernels::Gemm(a.data(), b.data(), c.data(), m, n, k, trans_a, trans_b,
-                  false);
+    kernels::GemmWith(isa, a.data(), b.data(), c.data(), m, n, k, trans_a,
+                      trans_b, false);
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
+  state.SetLabel(kernels::GemmIsaName(isa));
 }
-BENCHMARK(BM_GemmLinear)
-    ->ArgNames({"m", "n", "k", "ta", "tb"})
-    ->Args({32, 768, 256, 0, 1})
-    ->Args({32, 256, 256, 0, 1})
-    ->Args({32, 1024, 256, 0, 1})
-    ->Args({32, 256, 768, 0, 0})
-    ->Args({32, 256, 1024, 0, 0})
-    ->Args({1024, 256, 32, 1, 0})
-    ->Args({768, 256, 32, 1, 0})
-    ->Args({256, 256, 32, 1, 0});
+
+void GemmLinearArgs(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"isa", "m", "n", "k", "ta", "tb"});
+  const std::vector<std::vector<int64_t>> shapes = {
+      {32, 768, 256, 0, 1},  {32, 256, 256, 0, 1},  {32, 1024, 256, 0, 1},
+      {32, 256, 768, 0, 0},  {32, 256, 1024, 0, 0}, {1024, 256, 32, 1, 0},
+      {768, 256, 32, 1, 0},  {256, 256, 32, 1, 0}};
+  for (kernels::GemmIsa isa : {kernels::GemmIsa::kScalar,
+                               kernels::GemmIsa::kAvx2,
+                               kernels::GemmIsa::kAvx512}) {
+    if (!kernels::GemmIsaSupported(isa)) continue;
+    for (std::vector<int64_t> args : shapes) {
+      args.insert(args.begin(), static_cast<int64_t>(isa));
+      b->Args(args);
+    }
+  }
+}
+BENCHMARK(BM_GemmLinear)->Apply(GemmLinearArgs);
 
 void BM_LayerNormForward(benchmark::State& state) {
   const int64_t rows = 256, cols = state.range(0);

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <map>
 #include <set>
+#include <vector>
 
 namespace fsdp::elastic {
 
@@ -151,15 +152,16 @@ SetScan ScanShardSets(const std::string& stem) {
   return scan;
 }
 
-bool CompleteSet(const std::map<int, std::set<int>>& worlds, int* world_out) {
+/// The world sizes whose set at one step has every rank's file, ascending.
+std::vector<int> CompleteWorlds(const std::map<int, std::set<int>>& worlds) {
+  std::vector<int> out;
   for (const auto& [world, ranks] : worlds) {
     if (static_cast<int>(ranks.size()) == world && *ranks.begin() == 0 &&
         *ranks.rbegin() == world - 1) {
-      *world_out = world;
-      return true;
+      out.push_back(world);
     }
   }
-  return false;
+  return out;
 }
 
 /// Checks unit `u` of an N-file set before anything is allocated or sliced
@@ -288,9 +290,8 @@ Status SaveShardedCheckpoint(const std::string& stem, int64_t step,
 
 int64_t LatestShardedStep(const std::string& stem) {
   int64_t latest = -1;
-  int world = 0;
   for (const auto& [step, worlds] : ScanShardSets(stem)) {
-    if (CompleteSet(worlds, &world)) latest = std::max(latest, step);
+    if (!CompleteWorlds(worlds).empty()) latest = std::max(latest, step);
   }
   return latest;
 }
@@ -299,11 +300,26 @@ Result<AssembledCheckpoint> AssembleShardedCheckpoint(const std::string& stem,
                                                       int64_t step) {
   const SetScan scan = ScanShardSets(stem);
   const auto it = scan.find(step);
-  int world = 0;
-  if (it == scan.end() || !CompleteSet(it->second, &world)) {
+  const std::vector<int> complete =
+      it == scan.end() ? std::vector<int>{} : CompleteWorlds(it->second);
+  if (complete.empty()) {
     return Status::IOError("no complete sharded checkpoint set for " + stem +
                            " at step " + std::to_string(step));
   }
+  if (complete.size() > 1) {
+    // Nothing on disk says which run wrote last; loading either could
+    // silently resume from a stale run.
+    std::string sets;
+    for (int w : complete) {
+      sets += (sets.empty() ? "" : " and ") + ShardFileName(stem, step, 0, w) +
+              " (" + std::to_string(w) + " files)";
+    }
+    return Status::Invalid("sharded checkpoint " + stem + " holds " +
+                           std::to_string(complete.size()) +
+                           " complete sets at step " + std::to_string(step) +
+                           ": " + sets + "; remove the stale one");
+  }
+  const int world = complete[0];
   std::vector<ShardFile> files;
   files.reserve(static_cast<size_t>(world));
   for (int r = 0; r < world; ++r) {

@@ -73,7 +73,9 @@ struct AssembledCheckpoint {
 /// Reads all N files of the step-`step` set (pass LatestShardedStep's result
 /// for "most recent") and concatenates the shards back into full padded
 /// flats, then slices out the original parameters — dropping the writer
-/// world's padding, so the result loads at ANY world size.
+/// world's padding, so the result loads at ANY world size. Complete sets of
+/// two world sizes at one step are an InvalidArgument naming both: the files
+/// cannot tell which run wrote last.
 Result<AssembledCheckpoint> AssembleShardedCheckpoint(const std::string& stem,
                                                       int64_t step);
 

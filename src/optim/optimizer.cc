@@ -33,42 +33,47 @@ int64_t SGD::StateNumel() const {
 
 void Adam::Step() {
   NoGradGuard no_grad;
+  const float wd = opt_.weight_decay;
+  const bool l2 = wd != 0.f && !opt_.decoupled_weight_decay;
+  const bool adamw = wd != 0.f && opt_.decoupled_weight_decay;
+  const float decay = 1.f - opt_.lr * wd;
+  const float beta2 = opt_.beta2, eps = opt_.eps;
+  const float w1 = 1.f - opt_.beta1, w2 = 1.f - beta2;
   for (size_t i = 0; i < params_.size(); ++i) {
     Tensor& p = params_[i];
-    Tensor g = p.grad();
+    const Tensor g = p.grad();
     if (!g.defined()) continue;
+    FSDP_CHECK_MSG(g.numel() == p.numel(), "Adam grad numel mismatch");
     auto& st = state_[i];
     if (!st.exp_avg.defined()) {
       st.exp_avg = Tensor::Zeros(p.shape());
       st.exp_avg_sq = Tensor::Zeros(p.shape());
     }
     ++st.step;
-
-    if (opt_.weight_decay != 0.f) {
-      if (opt_.decoupled_weight_decay) {
-        p.Mul_(1.f - opt_.lr * opt_.weight_decay);  // AdamW
-      } else {
-        // L2 regularization folded into the gradient; keep g intact for the
-        // caller, operate on a copy.
-        g = g.Clone();
-        g.Add_(p, opt_.weight_decay);
-      }
-    }
-
-    st.exp_avg.Lerp_(g, 1.f - opt_.beta1);
-    st.exp_avg_sq.Mul_(opt_.beta2);
-    st.exp_avg_sq.Addcmul_(g, g, 1.f - opt_.beta2);
-
     const float bc1 =
         1.f - std::pow(opt_.beta1, static_cast<float>(st.step));
     const float bc2 =
         1.f - std::pow(opt_.beta2, static_cast<float>(st.step));
     // p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-    //    = p + (-lr/bc1) * m / (sqrt(v)/sqrt(bc2) + eps).
-    // Match PyTorch exactly: denom = sqrt(v)/sqrt(bc2) + eps.
-    Tensor denom = st.exp_avg_sq.Clone();
-    denom.Mul_(1.f / bc2);
-    p.AddcdivSqrt_(st.exp_avg, denom, -opt_.lr / bc1, opt_.eps);
+    //    = p + (-lr/bc1) * m / (sqrt(v * (1/bc2)) + eps), as PyTorch does.
+    const float step_size = -opt_.lr / bc1, inv_bc2 = 1.f / bc2;
+    float* pp = p.data();
+    const float* gp = g.data();
+    float* m = st.exp_avg.data();
+    float* v = st.exp_avg_sq.data();
+    // One pass. Each element sees the operations, and roundings, of the
+    // whole-tensor sequence g += wd * p (L2) or p *= 1 - lr * wd (AdamW);
+    // m += (1 - beta1) * (g - m); v *= beta2; v += (1 - beta2) * g * g;
+    // then the update above. The caller's gradient is never written.
+    for (int64_t j = 0, n = p.numel(); j < n; ++j) {
+      float gj = gp[j];
+      if (l2) gj += wd * pp[j];
+      if (adamw) pp[j] *= decay;
+      m[j] += w1 * (gj - m[j]);
+      v[j] *= beta2;
+      v[j] += w2 * gj * gj;
+      pp[j] += step_size * m[j] / (std::sqrt(v[j] * inv_bc2) + eps);
+    }
   }
 }
 

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
+
+#include "common/status.h"
 
 namespace fsdp::kernels {
 
@@ -48,130 +51,315 @@ void GemmScalar(const float* a, const float* b, float* c, int64_t m,
 
 namespace {
 
-// Packed-panel GEMM for CPUs with AVX2. B is packed into one [k][kNr] panel
-// at a time and each micro-kernel call computes an R x kNr block of C in
-// vector registers, keeping GemmScalar's per-element operation order (see
-// Gemm in kernels.h). The target enables AVX2 but not FMA, so no multiply
-// and add can be contracted.
+// Packed-panel GEMM, one template instantiated per vector width. B is packed
+// into one [k][Nr] panel at a time (Nr = two vectors) and each micro-kernel
+// call computes an R x Nr block of C in 2R vector registers, keeping
+// GemmScalar's per-element operation order (see Gemm in kernels.h).
+//
+// The templates carry no target attribute: they are always inlined into the
+// two entry points below, which do (GCC cannot make a function's target
+// depend on a template parameter). Vectors pass by reference, never by
+// value, so no function outside those targets has a vector in its ABI. The
+// avx512f target implies FMA, so kernels.cc is built with -ffp-contract=off
+// (src/tensor/CMakeLists.txt) to keep every `acc + a * b` a separate
+// multiply and add.
 typedef float v8 __attribute__((vector_size(32)));
-constexpr int64_t kMr = 4;   // rows of C per micro-kernel call
-constexpr int64_t kNr = 16;  // columns of C per panel (two v8)
+typedef float v16 __attribute__((vector_size(64)));
+typedef int32_t i8 __attribute__((vector_size(32)));
+typedef int32_t i16 __attribute__((vector_size(64)));
 
-#define FSDP_AVX2 __attribute__((target("avx2")))
+template <typename V>
+struct Isa;
+// kMaskedSkip: whether the !trans_b zero skip is a masked add rather than a
+// branch. AVX-512 masks an add for free; AVX2 would need a blend after it,
+// which lengthens every accumulator's dependency chain.
+template <>
+struct Isa<v8> {  // AVX2: 16 ymm registers
+  using Index = i8;
+  static constexpr int kLanes = 8;
+  static constexpr bool kMaskedSkip = false;
+};
+template <>
+struct Isa<v16> {  // AVX-512F: 32 zmm registers
+  using Index = i16;
+  static constexpr int kLanes = 16;
+  static constexpr bool kMaskedSkip = true;
+};
+// Columns per panel (two vectors) and rows per micro-kernel call: the 2 x kMr
+// accumulators take half the register file, leaving room for B and A.
+template <typename V>
+constexpr int64_t kNr = 2 * Isa<V>::kLanes;
+template <typename V>
+constexpr int kMr = Isa<V>::kLanes / 2;
+// Panel rows per sweep of !trans_b: 256 x 32 floats fill 32 KiB of L1.
+constexpr int64_t kKc = 256;
 
-FSDP_AVX2 inline v8 Load(const float* p) {
-  v8 v;
+template <typename V>
+[[gnu::always_inline]] inline void Load(V& v, const float* p) {
   std::memcpy(&v, p, sizeof v);
-  return v;
 }
 
-FSDP_AVX2 inline void Store(float* p, v8 v) { std::memcpy(p, &v, sizeof v); }
+template <typename V>
+[[gnu::always_inline]] inline void Store(float* p, const V& v) {
+  std::memcpy(p, &v, sizeof v);
+}
 
 // C block (R x kNr at c, row stride ldc) against the packed panel. A(i,p) is
-// a[i * ars + p * acs].
-template <int R, bool kTransB>
-FSDP_AVX2 void MicroKernel(const float* a, int64_t ars, int64_t acs,
-                           const float* panel, int64_t k, float* c,
-                           int64_t ldc) {
-  v8 acc[R][2];
+// a[i * ars + p * acs]. On !kTransB a row whose a(i,p) is 0 keeps its
+// accumulator, so inf/NaN in B never reaches it.
+template <typename V, int R, bool kTransB>
+[[gnu::always_inline]] inline void MicroKernel(const float* a, int64_t ars,
+                                               int64_t acs, const float* panel,
+                                               int64_t k, float* c,
+                                               int64_t ldc) {
+  constexpr int L = Isa<V>::kLanes;
+  V acc[R][2];
+#pragma GCC unroll 8
   for (int r = 0; r < R; ++r) {
-    acc[r][0] = kTransB ? v8{} : Load(c + r * ldc);
-    acc[r][1] = kTransB ? v8{} : Load(c + r * ldc + 8);
+    if (kTransB) {
+      acc[r][0] = V{};
+      acc[r][1] = V{};
+    } else {
+      Load(acc[r][0], c + r * ldc);
+      Load(acc[r][1], c + r * ldc + L);
+    }
   }
   for (int64_t p = 0; p < k; ++p) {
-    const v8 b0 = Load(panel + p * kNr);
-    const v8 b1 = Load(panel + p * kNr + 8);
+    V b0, b1;
+    Load(b0, panel + p * kNr<V>);
+    Load(b1, panel + p * kNr<V> + L);
     const float* ap = a + p * acs;
-#pragma GCC unroll 4
+#pragma GCC unroll 8
     for (int r = 0; r < R; ++r) {
-      const float av = ap[r * ars];
-      if (!kTransB && av == 0.f) continue;
+      // x - (+0) is x in every lane, -0 included: a plain broadcast.
+      const V av = ap[r * ars] - V{};
+      if (!kTransB && Isa<V>::kMaskedSkip) {
+        const auto live = av != 0;
+        acc[r][0] = live ? acc[r][0] + av * b0 : acc[r][0];
+        acc[r][1] = live ? acc[r][1] + av * b1 : acc[r][1];
+        continue;
+      }
+      if (!kTransB && ap[r * ars] == 0.f) continue;
       acc[r][0] = acc[r][0] + av * b0;
       acc[r][1] = acc[r][1] + av * b1;
     }
   }
+#pragma GCC unroll 8
   for (int r = 0; r < R; ++r) {
     if (kTransB) {
-      acc[r][0] = Load(c + r * ldc) + acc[r][0];
-      acc[r][1] = Load(c + r * ldc + 8) + acc[r][1];
+      V c0, c1;
+      Load(c0, c + r * ldc);
+      Load(c1, c + r * ldc + L);
+      acc[r][0] = c0 + acc[r][0];
+      acc[r][1] = c1 + acc[r][1];
     }
     Store(c + r * ldc, acc[r][0]);
-    Store(c + r * ldc + 8, acc[r][1]);
+    Store(c + r * ldc + L, acc[r][1]);
   }
 }
 
-// kMicroKernels[trans_b][rows - 1].
-using MicroKernelFn = void (*)(const float*, int64_t, int64_t, const float*,
-                               int64_t, float*, int64_t);
-constexpr MicroKernelFn kMicroKernels[2][kMr] = {
-    {MicroKernel<1, false>, MicroKernel<2, false>, MicroKernel<3, false>,
-     MicroKernel<4, false>},
-    {MicroKernel<1, true>, MicroKernel<2, true>, MicroKernel<3, true>,
-     MicroKernel<4, true>}};
-
-FSDP_AVX2 void GemmPacked(const float* a, const float* b, float* c, int64_t m,
-                          int64_t n, int64_t k, bool trans_a, bool trans_b) {
-  // One panel per thread, reused across calls: at most k * kNr floats for
-  // the largest k the thread has seen.
-  thread_local std::vector<float> panel;
-  if (panel.size() < static_cast<size_t>(k * kNr)) {
-    panel.resize(static_cast<size_t>(k * kNr));
+// MicroKernel for a block of `rows` <= R rows.
+template <typename V, bool kTransB, int R = kMr<V>>
+[[gnu::always_inline]] inline void RowBlock(int64_t rows, const float* a,
+                                            int64_t ars, int64_t acs,
+                                            const float* panel, int64_t k,
+                                            float* c, int64_t ldc) {
+  if constexpr (R > 1) {
+    if (rows < R) {
+      RowBlock<V, kTransB, R - 1>(rows, a, ars, acs, panel, k, c, ldc);
+      return;
+    }
   }
+  MicroKernel<V, R, kTransB>(a, ars, acs, panel, k, c, ldc);
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void RowBlock(bool trans_b, int64_t rows,
+                                            const float* a, int64_t ars,
+                                            int64_t acs, const float* panel,
+                                            int64_t k, float* c, int64_t ldc) {
+  if (trans_b) {
+    RowBlock<V, true>(rows, a, ars, acs, panel, k, c, ldc);
+  } else {
+    RowBlock<V, false>(rows, a, ars, acs, panel, k, c, ldc);
+  }
+}
+
+// One butterfly stage of TransposeBlock: within every 2H x 2H block of
+// lanes, swap the two off-diagonal H x H blocks of each row pair (i, i + H).
+template <typename V, int H, size_t... l>
+[[gnu::always_inline]] inline void TransposeStage(V* r,
+                                                  std::index_sequence<l...>) {
+  constexpr int L = sizeof...(l);
+  using Index = typename Isa<V>::Index;
+  constexpr Index lo_idx = {static_cast<int32_t>((l & H) ? L + l - H : l)...};
+  constexpr Index hi_idx = {static_cast<int32_t>((l & H) ? L + l : l + H)...};
+#pragma GCC unroll 16
+  for (int i = 0; i < L; ++i) {
+    if (i & H) continue;
+    const V lo = r[i], hi = r[i + H];
+    r[i] = __builtin_shuffle(lo, hi, lo_idx);
+    r[i + H] = __builtin_shuffle(lo, hi, hi_idx);
+  }
+}
+
+// dst[q][t] = src[t][q] for an L x L block, L the vector width, in registers.
+template <typename V>
+[[gnu::always_inline]] inline void TransposeBlock(const float* src,
+                                                  int64_t lds, float* dst,
+                                                  int64_t ldd) {
+  constexpr int L = Isa<V>::kLanes;
+  V r[L];
+#pragma GCC unroll 16
+  for (int i = 0; i < L; ++i) Load(r[i], src + i * lds);
+  // The stages commute; log2(L) of them transpose the block.
+  constexpr auto lanes = std::make_index_sequence<L>{};
+  TransposeStage<V, 1>(r, lanes);
+  TransposeStage<V, 2>(r, lanes);
+  TransposeStage<V, 4>(r, lanes);
+  if constexpr (L == 16) TransposeStage<V, 8>(r, lanes);
+#pragma GCC unroll 16
+  for (int i = 0; i < L; ++i) Store(dst + i * ldd, r[i]);
+}
+
+// One panel per thread, shared by both widths and reused across calls: at
+// most k * 32 floats for the largest k the thread has seen.
+float* PanelBuffer(int64_t floats) {
+  thread_local std::vector<float> panel;
+  if (panel.size() < static_cast<size_t>(floats)) {
+    panel.resize(static_cast<size_t>(floats));
+  }
+  return panel.data();
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void GemmPacked(const float* a, const float* b,
+                                              float* c, int64_t m, int64_t n,
+                                              int64_t k, bool trans_a,
+                                              bool trans_b) {
+  constexpr int L = Isa<V>::kLanes;
+  constexpr int64_t Nr = kNr<V>, Mr = kMr<V>;
+  float* pp = PanelBuffer(k * Nr);
   const int64_t ars = trans_a ? 1 : k, acs = trans_a ? m : 1;
-  const MicroKernelFn* kernel = kMicroKernels[trans_b];
-  for (int64_t j0 = 0; j0 < n; j0 += kNr) {
-    const int64_t nc = std::min(kNr, n - j0);
-    // Pack B(:, j0 .. j0+nc) as panel[p][jj], zero-padded to kNr columns.
-    float* pp = panel.data();
-    if (nc < kNr) std::fill(pp, pp + k * kNr, 0.f);
-    if (trans_b) {  // B stored (n x k)
+  for (int64_t j0 = 0; j0 < n; j0 += Nr) {
+    const int64_t nc = std::min(Nr, n - j0);
+    // Pack B(:, j0 .. j0+nc) as panel[p][jj], zero-padded to Nr columns.
+    if (nc < Nr) std::fill(pp, pp + k * Nr, 0.f);
+    if (trans_b) {  // B stored (n x k): transpose L x L blocks in registers
+      const int64_t kb = k - k % L, jb = nc - nc % L;
+      for (int64_t jj = 0; jj < jb; jj += L) {
+        for (int64_t p = 0; p < kb; p += L) {
+          TransposeBlock<V>(b + (j0 + jj) * k + p, k, pp + p * Nr + jj, Nr);
+        }
+      }
+      // The ragged edges, one element at a time.
       for (int64_t jj = 0; jj < nc; ++jj) {
         const float* brow = b + (j0 + jj) * k;
-        for (int64_t p = 0; p < k; ++p) pp[p * kNr + jj] = brow[p];
+        for (int64_t p = jj < jb ? kb : 0; p < k; ++p) {
+          pp[p * Nr + jj] = brow[p];
+        }
       }
     } else {  // B stored (k x n)
       for (int64_t p = 0; p < k; ++p) {
-        std::memcpy(pp + p * kNr, b + p * n + j0, static_cast<size_t>(nc) * 4);
+        std::memcpy(pp + p * Nr, b + p * n + j0, static_cast<size_t>(nc) * 4);
       }
     }
-    for (int64_t i0 = 0; i0 < m; i0 += kMr) {
-      const int64_t rows = std::min(kMr, m - i0);
-      const float* ablk = a + i0 * ars;
-      if (nc == kNr) {
-        kernel[rows - 1](ablk, ars, acs, pp, k, c + i0 * n + j0, n);
-        continue;
-      }
-      // Ragged last panel: run the block on a full-width copy of C.
-      float tile[kMr * kNr] = {};
-      for (int64_t r = 0; r < rows; ++r) {
-        std::memcpy(tile + r * kNr, c + (i0 + r) * n + j0,
-                    static_cast<size_t>(nc) * 4);
-      }
-      kernel[rows - 1](ablk, ars, acs, pp, k, tile, kNr);
-      for (int64_t r = 0; r < rows; ++r) {
-        std::memcpy(c + (i0 + r) * n + j0, tile + r * kNr,
-                    static_cast<size_t>(nc) * 4);
+    // !trans_b sums straight into C, so it can sweep k in chunks whose
+    // panel rows stay in L1 without changing any element's order of
+    // operations. trans_b's accumulator must see all of k at once.
+    const int64_t kc = trans_b ? k : kKc;
+    for (int64_t p0 = 0; p0 < k; p0 += kc) {
+      const int64_t kn = std::min(kc, k - p0);
+      const float* pk = pp + p0 * Nr;
+      for (int64_t i0 = 0; i0 < m; i0 += Mr) {
+        const int64_t rows = std::min(Mr, m - i0);
+        const float* ablk = a + i0 * ars + p0 * acs;
+        if (nc == Nr) {
+          RowBlock<V>(trans_b, rows, ablk, ars, acs, pk, kn, c + i0 * n + j0,
+                      n);
+          continue;
+        }
+        // Ragged last panel: run the block on a full-width copy of C.
+        float tile[Mr * Nr] = {};
+        for (int64_t r = 0; r < rows; ++r) {
+          std::memcpy(tile + r * Nr, c + (i0 + r) * n + j0,
+                      static_cast<size_t>(nc) * 4);
+        }
+        RowBlock<V>(trans_b, rows, ablk, ars, acs, pk, kn, tile, Nr);
+        for (int64_t r = 0; r < rows; ++r) {
+          std::memcpy(c + (i0 + r) * n + j0, tile + r * Nr,
+                      static_cast<size_t>(nc) * 4);
+        }
       }
     }
   }
 }
 
-#undef FSDP_AVX2
+__attribute__((target("avx2"))) void GemmAvx2(const float* a, const float* b,
+                                               float* c, int64_t m, int64_t n,
+                                               int64_t k, bool trans_a,
+                                               bool trans_b) {
+  GemmPacked<v8>(a, b, c, m, n, k, trans_a, trans_b);
+}
+
+__attribute__((target("avx512f"))) void GemmAvx512(
+    const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
+    bool trans_a, bool trans_b) {
+  GemmPacked<v16>(a, b, c, m, n, k, trans_a, trans_b);
+}
 
 }  // namespace
 
-void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
-          int64_t k, bool trans_a, bool trans_b, bool accumulate) {
+bool GemmIsaSupported(GemmIsa isa) {
   static const bool avx2 = [] {
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx2") != 0;
   }();
-  if (!avx2) {
+  static const bool avx512 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") != 0;
+  }();
+  switch (isa) {
+    case GemmIsa::kScalar: return true;
+    case GemmIsa::kAvx2: return avx2;
+    case GemmIsa::kAvx512: return avx512;
+  }
+  return false;
+}
+
+const char* GemmIsaName(GemmIsa isa) {
+  switch (isa) {
+    case GemmIsa::kScalar: return "scalar";
+    case GemmIsa::kAvx2: return "avx2";
+    case GemmIsa::kAvx512: return "avx512";
+  }
+  return "?";
+}
+
+void GemmWith(GemmIsa isa, const float* a, const float* b, float* c,
+              int64_t m, int64_t n, int64_t k, bool trans_a, bool trans_b,
+              bool accumulate) {
+  FSDP_CHECK_MSG(GemmIsaSupported(isa),
+                 "this CPU cannot run the " << GemmIsaName(isa) << " GEMM");
+  if (isa == GemmIsa::kScalar) {
     GemmScalar(a, b, c, m, n, k, trans_a, trans_b, accumulate);
     return;
   }
   if (!accumulate) std::memset(c, 0, static_cast<size_t>(m * n) * 4);
-  GemmPacked(a, b, c, m, n, k, trans_a, trans_b);
+  if (isa == GemmIsa::kAvx512) {
+    GemmAvx512(a, b, c, m, n, k, trans_a, trans_b);
+  } else {
+    GemmAvx2(a, b, c, m, n, k, trans_a, trans_b);
+  }
+}
+
+void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
+          int64_t k, bool trans_a, bool trans_b, bool accumulate) {
+  static const GemmIsa best =
+      GemmIsaSupported(GemmIsa::kAvx512) ? GemmIsa::kAvx512
+      : GemmIsaSupported(GemmIsa::kAvx2) ? GemmIsa::kAvx2
+                                         : GemmIsa::kScalar;
+  GemmWith(best, a, b, c, m, n, k, trans_a, trans_b, accumulate);
 }
 
 void Add(const float* a, const float* b, float* out, int64_t n) {

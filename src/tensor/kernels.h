@@ -15,10 +15,11 @@ namespace fsdp::kernels {
 /// A is (m x k) if !trans_a else (k x m); B is (k x n) if !trans_b else
 /// (n x k). If `accumulate` is false, C is overwritten.
 ///
-/// On CPUs with AVX2 (checked once, at run time) this runs a packed-panel
-/// micro-kernel; elsewhere it runs GemmScalar. Both give bit-identical
-/// results for every input, because each output element sees the same
-/// operations in the same order, with no fused multiply-add:
+/// Runs the widest path this CPU supports (checked once, at run time): a
+/// packed-panel micro-kernel on AVX-512F or AVX2, GemmScalar elsewhere. Every
+/// path gives bit-identical results for every input, because each output
+/// element sees the same operations in the same order, with no fused
+/// multiply-add:
 ///  - !trans_b: c += a(i,p) * b(p,j) for ascending p, skipping terms with
 ///    a(i,p) == 0 (so inf/NaN in B rows that only meet zeros never reach C);
 ///  - trans_b: acc = 0, acc += a(i,p) * b(p,j) for ascending p, then c += acc.
@@ -28,6 +29,17 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
 void GemmScalar(const float* a, const float* b, float* c, int64_t m,
                 int64_t n, int64_t k, bool trans_a, bool trans_b,
                 bool accumulate);
+
+/// The instruction sets Gemm has a path for, narrowest first.
+enum class GemmIsa { kScalar, kAvx2, kAvx512 };
+/// Whether this CPU can run `isa`'s path.
+bool GemmIsaSupported(GemmIsa isa);
+const char* GemmIsaName(GemmIsa isa);
+/// Gemm on one given path, which this CPU must support. Gemm calls it with
+/// the widest; tests and benchmarks call it to reach the narrower ones.
+void GemmWith(GemmIsa isa, const float* a, const float* b, float* c,
+              int64_t m, int64_t n, int64_t k, bool trans_a, bool trans_b,
+              bool accumulate);
 
 /// out[i] = a[i] + b[i].
 void Add(const float* a, const float* b, float* out, int64_t n);

@@ -379,11 +379,18 @@ TEST(ShardedCkptTest, CorruptFilesReturnStatus) {
   }
   EXPECT_GT(rejected, 0);
 
-  // World-mismatched sets at one step: a 4-set next to the 2-set.
+  // World-mismatched sets at one step: a 4-set next to the 2-set. Either
+  // could be the stale one, so assembly names both and loads neither.
   SaveShardSet(stem, 0, 4);
   auto both = elastic::AssembleShardedCheckpoint(stem, 0);
-  ASSERT_TRUE(both.ok()) << both.status().ToString();
-  EXPECT_TRUE(both->world_size == 2 || both->world_size == 4);
+  ASSERT_FALSE(both.ok());
+  EXPECT_EQ(both.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(both.status().message().find(rank0), std::string::npos)
+      << both.status().ToString();
+  EXPECT_NE(both.status().message().find(elastic::ShardFileName(stem, 0, 0, 4)),
+            std::string::npos)
+      << both.status().ToString();
+  EXPECT_EQ(elastic::LatestShardedStep(stem), 0);
   const std::string four3 = elastic::ShardFileName(stem, 0, 3, 4);
   const std::string good_four3 = ReadBytes(four3);
   std::filesystem::remove(four3);

@@ -221,11 +221,22 @@ TEST(KernelsTest, GemmAllTransposeVariants) {
   EXPECT_FLOAT_EQ(c[0], 2 * expect[0]);
 }
 
-// Runs the dispatched Gemm and GemmScalar on the same inputs and compares C
+// The vector GEMM paths this CPU can run.
+std::vector<kernels::GemmIsa> VectorGemmIsas() {
+  std::vector<kernels::GemmIsa> out;
+  for (kernels::GemmIsa isa :
+       {kernels::GemmIsa::kAvx2, kernels::GemmIsa::kAvx512}) {
+    if (kernels::GemmIsaSupported(isa)) out.push_back(isa);
+  }
+  return out;
+}
+
+// Runs `isa`'s Gemm path and GemmScalar on the same inputs and compares C
 // byte for byte. A has about a third exact zeros and C some -0 entries. With
 // `nonfinite`, every fifth p has A(:,p) == 0 and B(p,:) holding inf and NaN.
-void ExpectGemmBitwise(Rng& rng, int64_t m, int64_t n, int64_t k, bool trans_a,
-                       bool trans_b, bool accumulate, bool nonfinite) {
+void ExpectGemmBitwise(kernels::GemmIsa isa, Rng& rng, int64_t m, int64_t n,
+                       int64_t k, bool trans_a, bool trans_b, bool accumulate,
+                       bool nonfinite) {
   std::vector<float> a(static_cast<size_t>(m * k));
   std::vector<float> b(static_cast<size_t>(k * n));
   std::vector<float> c(static_cast<size_t>(m * n));
@@ -251,12 +262,13 @@ void ExpectGemmBitwise(Rng& rng, int64_t m, int64_t n, int64_t k, bool trans_a,
     }
   }
   std::vector<float> want = c;
-  kernels::Gemm(a.data(), b.data(), c.data(), m, n, k, trans_a, trans_b,
-                accumulate);
+  kernels::GemmWith(isa, a.data(), b.data(), c.data(), m, n, k, trans_a,
+                    trans_b, accumulate);
   kernels::GemmScalar(a.data(), b.data(), want.data(), m, n, k, trans_a,
                       trans_b, accumulate);
   ASSERT_EQ(std::memcmp(c.data(), want.data(), c.size() * 4), 0)
-      << m << "x" << n << "x" << k << " trans_a=" << trans_a
+      << kernels::GemmIsaName(isa) << " " << m << "x" << n << "x" << k
+      << " trans_a=" << trans_a
       << " trans_b=" << trans_b << " accumulate=" << accumulate
       << " nonfinite=" << nonfinite;
   if (nonfinite && !trans_b) {
@@ -266,9 +278,8 @@ void ExpectGemmBitwise(Rng& rng, int64_t m, int64_t n, int64_t k, bool trans_a,
 }
 
 TEST(KernelsTest, GemmMatchesScalarLoopsBitwise) {
-  if (!__builtin_cpu_supports("avx2")) {
-    GTEST_SKIP() << "no AVX2: Gemm runs GemmScalar itself";
-  }
+  const std::vector<kernels::GemmIsa> isas = VectorGemmIsas();
+  if (isas.empty()) GTEST_SKIP() << "no AVX2: Gemm runs GemmScalar itself";
   struct Case {
     int64_t m, n, k;
     bool trans_a, trans_b;
@@ -293,23 +304,72 @@ TEST(KernelsTest, GemmMatchesScalarLoopsBitwise) {
       {32, 32, 64, false, true},
       {32, 64, 32, true, false},
   };
-  Rng rng(23, 0);
-  for (const Case& t : cases) {
-    for (bool accumulate : {false, true}) {
-      for (bool nonfinite : {false, true}) {
-        ExpectGemmBitwise(rng, t.m, t.n, t.k, t.trans_a, t.trans_b,
-                          accumulate, nonfinite);
+  for (kernels::GemmIsa isa : isas) {
+    Rng rng(23, 0);
+    for (const Case& t : cases) {
+      for (bool accumulate : {false, true}) {
+        for (bool nonfinite : {false, true}) {
+          ExpectGemmBitwise(isa, rng, t.m, t.n, t.k, t.trans_a, t.trans_b,
+                            accumulate, nonfinite);
+        }
+      }
+    }
+    // Random shapes: no dimension needs to be a multiple of the panel
+    // width, the row block or the transpose block.
+    for (int s = 0; s < 64; ++s) {
+      const int64_t m = 1 + static_cast<int64_t>(rng.NextU64() % 70);
+      const int64_t n = 1 + static_cast<int64_t>(rng.NextU64() % 70);
+      const int64_t k = 1 + static_cast<int64_t>(rng.NextU64() % 70);
+      for (int variant = 0; variant < 16; ++variant) {
+        ExpectGemmBitwise(isa, rng, m, n, k, variant & 1, variant & 2,
+                          variant & 4, variant & 8);
       }
     }
   }
-  // Random shapes: no dimension needs to be a multiple of 4 or 16.
-  for (int s = 0; s < 64; ++s) {
-    const int64_t m = 1 + static_cast<int64_t>(rng.NextU64() % 70);
-    const int64_t n = 1 + static_cast<int64_t>(rng.NextU64() % 70);
-    const int64_t k = 1 + static_cast<int64_t>(rng.NextU64() % 70);
-    for (int variant = 0; variant < 16; ++variant) {
-      ExpectGemmBitwise(rng, m, n, k, variant & 1, variant & 2, variant & 4,
-                        variant & 8);
+}
+
+// A fused multiply-add canary. With a = b = 1 + 2^-12, a * b rounds to
+// 1 + 2^-11, so -1 + a * b is 2^-11 with a separate multiply and add but
+// 2^-11 + 2^-24 when fused. Every path must give the separate answer in
+// every transpose variant, on full and ragged panels and row blocks.
+TEST(KernelsTest, GemmNeverFusesMultiplyAdd) {
+  const float x = 1.f + std::ldexp(1.f, -12);
+  const float want = std::ldexp(1.f, -11);
+  ASSERT_NE(std::fma(x, x, -1.f), want);  // the canary tells the two apart
+  std::vector<kernels::GemmIsa> isas = VectorGemmIsas();
+  isas.push_back(kernels::GemmIsa::kScalar);
+  for (kernels::GemmIsa isa : isas) {
+    for (int64_t m : {1, 3, 8, 9}) {
+      for (int64_t n : {1, 7, 16, 32, 33, 64}) {
+        for (int variant = 0; variant < 4; ++variant) {
+          const bool trans_a = variant & 1, trans_b = variant & 2;
+          // A(i, :) = [1, x] and B(:, j) = [-1, x], k = 2.
+          std::vector<float> a(static_cast<size_t>(m * 2));
+          std::vector<float> b(static_cast<size_t>(2 * n));
+          auto a_at = [&](int64_t i, int64_t p) -> float& {
+            return trans_a ? a[p * m + i] : a[i * 2 + p];
+          };
+          auto b_at = [&](int64_t p, int64_t j) -> float& {
+            return trans_b ? b[j * 2 + p] : b[p * n + j];
+          };
+          for (int64_t i = 0; i < m; ++i) {
+            a_at(i, 0) = 1.f;
+            a_at(i, 1) = x;
+          }
+          for (int64_t j = 0; j < n; ++j) {
+            b_at(0, j) = -1.f;
+            b_at(1, j) = x;
+          }
+          std::vector<float> c(static_cast<size_t>(m * n), 7.f);
+          kernels::GemmWith(isa, a.data(), b.data(), c.data(), m, n, 2,
+                            trans_a, trans_b, false);
+          for (float v : c) {
+            ASSERT_EQ(v, want)
+                << kernels::GemmIsaName(isa) << " " << m << "x" << n
+                << " trans_a=" << trans_a << " trans_b=" << trans_b;
+          }
+        }
+      }
     }
   }
 }
