@@ -72,8 +72,7 @@ int main() {
   for (const plan::Instr& in : p.instrs) {
     if (in.op != plan::Op::kUnshard) continue;
     ++collectives;
-    const int64_t bytes =
-        static_cast<int64_t>(plan::CoveredUnits(in).size()) * shard_bytes;
+    const int64_t bytes = plan::NumCoveredUnits(in) * shard_bytes;
     fused_ms += cm.AllGatherBase(bytes, g) / 1e3;
   }
   Header("Plan compiler", "FuseAllGathers over the worst sweep point");

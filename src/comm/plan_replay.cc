@@ -92,17 +92,16 @@ Status ReplayPlan(ProcessGroup pg, const plan::StepPlan& plan,
         }
         // Fused AllGather: one collective over the covered units'
         // concatenated shards; every member shares the Work handle.
-        const std::vector<int> covered = plan::CoveredUnits(in);
-        const int64_t total = n * static_cast<int64_t>(covered.size());
+        const int64_t total = n * plan::NumCoveredUnits(in);
         batch_scratch.emplace_back();
         BatchScratch& b = batch_scratch.back();
         b.src.assign(static_cast<size_t>(total), 1.0f);
         b.dst.assign(static_cast<size_t>(total) * w, 0.0f);
         Work work = pg.AllGatherBase(b.dst.data(), b.src.data(), total, opts);
-        for (int cu : covered) {
+        plan::ForEachCoveredUnit(in, [&](int cu) {
           units[static_cast<size_t>(cu)].unshard = work;
           units[static_cast<size_t>(cu)].unshard_pending = true;
-        }
+        });
         break;
       }
       case plan::Op::kWaitUnshard: {
@@ -129,8 +128,7 @@ Status ReplayPlan(ProcessGroup pg, const plan::StepPlan& plan,
           break;
         }
         // Fused ReduceScatter over the covered units' concatenated grads.
-        const std::vector<int> covered = plan::CoveredUnits(in);
-        const int64_t total = n * static_cast<int64_t>(covered.size());
+        const int64_t total = n * plan::NumCoveredUnits(in);
         batch_scratch.emplace_back();
         BatchScratch& b = batch_scratch.back();
         b.src.assign(static_cast<size_t>(total) * w, 1.0f);

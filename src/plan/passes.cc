@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <set>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -35,33 +34,10 @@ void ApplyOrder(StepPlan& plan, const std::vector<int>& order) {
   plan.instrs = std::move(out);
 }
 
-/// Moves the contiguous block [b, e) to start at position dst (dst < b:
-/// hoist; dst >= e: sink to just before old index dst).
-void MoveBlock(StepPlan& plan, int b, int e, int dst) {
-  const int n = plan.size();
-  std::vector<int> order;
-  order.reserve(static_cast<size_t>(n));
-  if (dst < b) {
-    for (int k = 0; k < dst; ++k) order.push_back(k);
-    for (int k = b; k < e; ++k) order.push_back(k);
-    for (int k = dst; k < b; ++k) order.push_back(k);
-    for (int k = e; k < n; ++k) order.push_back(k);
-  } else {
-    for (int k = 0; k < b; ++k) order.push_back(k);
-    for (int k = e; k < dst; ++k) order.push_back(k);
-    for (int k = b; k < e; ++k) order.push_back(k);
-    for (int k = dst; k < n; ++k) order.push_back(k);
-  }
-  ApplyOrder(plan, order);
-}
-
 bool SharesUnit(const Instr& a, const Instr& b) {
-  for (int ua : CoveredUnits(a)) {
-    for (int ub : CoveredUnits(b)) {
-      if (ua == ub) return true;
-    }
-  }
-  return false;
+  return ForEachCoveredUnit(a, [&](int ua) {
+    return ForEachCoveredUnit(b, [&](int ub) { return ua == ub; });
+  });
 }
 
 bool DependsOnRange(const Instr& in, int b, int e) {
@@ -69,6 +45,10 @@ bool DependsOnRange(const Instr& in, int b, int e) {
     if (d >= b && d < e) return true;
   }
   return false;
+}
+
+bool DependsOn(const Instr& in, int target) {
+  return std::find(in.deps.begin(), in.deps.end(), target) != in.deps.end();
 }
 
 /// Erases instructions marked `removed`, remapping each removed index to
@@ -110,11 +90,12 @@ void EraseRemapped(StepPlan& plan, const std::vector<char>& removed,
 /// table; -1 if any covered unit is out of table range.
 int64_t CoveredBytes(const Instr& in, const std::vector<int64_t>& table) {
   int64_t total = 0;
-  for (int u : CoveredUnits(in)) {
-    if (u < 0 || u >= static_cast<int>(table.size())) return -1;
+  const bool out_of_range = ForEachCoveredUnit(in, [&](int u) {
+    if (u < 0 || u >= static_cast<int>(table.size())) return true;
     total += table[static_cast<size_t>(u)];
-  }
-  return total;
+    return false;
+  });
+  return out_of_range ? -1 : total;
 }
 
 }  // namespace
@@ -144,19 +125,34 @@ Status PlanValidator::Check(const StepPlan& plan) const {
   // Stages with any instruction in this plan. Per-rank executed logs and
   // FilterStage projections only carry one stage; send/recv matching is
   // skipped against stages the plan does not contain.
-  std::set<int> stages_present;
+  int max_stage = -1;
+  int mb_lo = 0, mb_hi = -1;  // microbatch range, sizes the tables below
   for (int i = 0; i < n; ++i) {
     const Instr& in = plan.instrs[static_cast<size_t>(i)];
-    for (int u : CoveredUnits(in)) {
-      if (u < 0 || u >= nu) return fail(i, "unit index out of range");
+    if (ForEachCoveredUnit(in, [&](int u) { return u < 0 || u >= nu; })) {
+      return fail(i, "unit index out of range");
     }
     if (in.op == Op::kUnshard) {
       has_unshard = true;
-      for (int u : CoveredUnits(in)) managed[static_cast<size_t>(u)] = 1;
+      ForEachCoveredUnit(
+          in, [&](int u) { managed[static_cast<size_t>(u)] = 1; });
     }
     if (in.op == Op::kCompute) has_compute = true;
-    if (in.stage >= 0) stages_present.insert(in.stage);
+    max_stage = std::max(max_stage, in.stage);
+    if (mb_hi < mb_lo) {
+      mb_lo = mb_hi = in.microbatch;
+    } else {
+      mb_lo = std::min(mb_lo, in.microbatch);
+      mb_hi = std::max(mb_hi, in.microbatch);
+    }
   }
+  std::vector<char> stages_present(static_cast<size_t>(max_stage + 1), 0);
+  for (const Instr& in : plan.instrs) {
+    if (in.stage >= 0) stages_present[static_cast<size_t>(in.stage)] = 1;
+  }
+  auto stage_present = [&](int s) {
+    return s >= 0 && s <= max_stage && stages_present[static_cast<size_t>(s)];
+  };
 
   std::vector<char> gathered(static_cast<size_t>(nu), 0);
   for (int u = 0; u < nu; ++u) {
@@ -165,8 +161,16 @@ Status PlanValidator::Check(const StepPlan& plan) const {
   std::vector<char> grad_live(static_cast<size_t>(nu), 0);
   std::vector<char> act_live(static_cast<size_t>(nu), 0);
   std::vector<int> last_bwd_mb(static_cast<size_t>(nu), -1);
-  // Per-microbatch reduction bookkeeping for duplicate + coverage checks.
-  std::map<int, std::set<int>> bwd_units, reduced_units;
+  // Per-(microbatch, unit) reduction bookkeeping for the duplicate and
+  // coverage checks, and which microbatches reduce at all.
+  const int n_mb = mb_hi - mb_lo + 1;
+  std::vector<char> bwd_units(static_cast<size_t>(n_mb) * nu, 0);
+  std::vector<char> reduced_units(bwd_units.size(), 0);
+  std::vector<char> mb_reduces(static_cast<size_t>(n_mb), 0);
+  auto cell = [&](int mb, int u) {
+    return static_cast<size_t>(mb - mb_lo) * static_cast<size_t>(nu) +
+           static_cast<size_t>(u);
+  };
   // Pipeline boundary matching: sends keyed by (sender stage, receiver
   // stage, phase, microbatch) queue up until the matching recv consumes
   // them. Plan order is issue order, so a recv whose send appears later
@@ -210,11 +214,12 @@ Status PlanValidator::Check(const StepPlan& plan) const {
 
     switch (in.op) {
       case Op::kUnshard:
-        for (int u : CoveredUnits(in)) {
-          if (gathered[static_cast<size_t>(u)]) {
-            return fail(i, "redundant unshard: unit already gathered");
-          }
-          gathered[static_cast<size_t>(u)] = 1;
+        if (ForEachCoveredUnit(in, [&](int u) {
+              if (gathered[static_cast<size_t>(u)]) return true;
+              gathered[static_cast<size_t>(u)] = 1;
+              return false;
+            })) {
+          return fail(i, "redundant unshard: unit already gathered");
         }
         break;
       case Op::kWaitUnshard:
@@ -233,29 +238,37 @@ Status PlanValidator::Check(const StepPlan& plan) const {
           last_bwd_mb[u] = in.microbatch;
           grad_live[u] = 1;
           if (in.seg != Seg::kRootHead) {
-            bwd_units[in.microbatch].insert(in.unit);
+            bwd_units[cell(in.microbatch, in.unit)] = 1;
           }
         } else if (in.phase == Phase::kForward && in.seg == Seg::kMain) {
           act_live[u] = 1;
         }
         break;
       }
-      case Op::kReduceGrad:
-        for (int u : CoveredUnits(in)) {
+      case Op::kReduceGrad: {
+        std::string why;
+        ForEachCoveredUnit(in, [&](int u) {
           // Reduce-only logs (DDP's executed plan records buckets, not
           // computes) can't anchor reductions to a backward — skip.
           if (has_compute &&
               last_bwd_mb[static_cast<size_t>(u)] != in.microbatch) {
-            return fail(i, "reduction of unit " + std::to_string(u) +
-                               " without a backward compute this "
-                               "microbatch");
+            why = "reduction of unit " + std::to_string(u) +
+                  " without a backward compute this microbatch";
+            return true;
           }
-          if (!reduced_units[in.microbatch].insert(u).second) {
-            return fail(i, "duplicate reduction of unit " +
-                               std::to_string(u) + " this microbatch");
+          char& reduced = reduced_units[cell(in.microbatch, u)];
+          if (reduced) {
+            why = "duplicate reduction of unit " + std::to_string(u) +
+                  " this microbatch";
+            return true;
           }
-        }
+          reduced = 1;
+          mb_reduces[static_cast<size_t>(in.microbatch - mb_lo)] = 1;
+          return false;
+        });
+        if (!why.empty()) return fail(i, why);
         break;
+      }
       case Op::kReshard: {
         if (in.unit < 0) return fail(i, "reshard without a unit");
         const size_t u = static_cast<size_t>(in.unit);
@@ -294,7 +307,7 @@ Status PlanValidator::Check(const StepPlan& plan) const {
         if (in.stage < 0 || in.peer_stage < 0) {
           return fail(i, "recv without stage/peer-stage tags");
         }
-        if (stages_present.count(in.peer_stage) == 0) break;
+        if (!stage_present(in.peer_stage)) break;
         auto& q = pending_sends[{in.peer_stage, in.stage,
                                  static_cast<int>(in.phase), in.microbatch}];
         if (q.empty()) {
@@ -321,7 +334,7 @@ Status PlanValidator::Check(const StepPlan& plan) const {
   // consumed; a dangling send is a peer blocked forever at step boundary.
   for (const auto& [key, q] : pending_sends) {
     if (q.empty()) continue;
-    if (stages_present.count(std::get<1>(key)) == 0) continue;
+    if (!stage_present(std::get<1>(key))) continue;
     return fail(q.front(), "send never matched by a recv on stage " +
                                std::to_string(std::get<1>(key)));
   }
@@ -331,9 +344,10 @@ Status PlanValidator::Check(const StepPlan& plan) const {
   // rewrite. DDP bucket plans (no unshards) key reductions by bucket
   // boundary, not per unit; the per-unit coverage contract does not apply.
   if (has_unshard) {
-    for (const auto& [mb, red] : reduced_units) {
-      for (int u : bwd_units[mb]) {
-        if (red.count(u) == 0) {
+    for (int mb = mb_lo; mb <= mb_hi; ++mb) {
+      if (!mb_reduces[static_cast<size_t>(mb - mb_lo)]) continue;
+      for (int u = 0; u < nu; ++u) {
+        if (bwd_units[cell(mb, u)] && !reduced_units[cell(mb, u)]) {
           return Status::Invalid(
               "microbatch " + std::to_string(mb) + " syncs but drops the "
               "reduction of unit " + std::to_string(u));
@@ -354,20 +368,31 @@ int HoistUnshards(StepPlan& plan, const PassOptions& options) {
   for (const Instr& in : plan.instrs) {
     if (in.op == Op::kRateLimitGate) has_gates = true;
   }
+  // order[p] is the original index of the instruction at position p of the
+  // rewritten prefix. A hoist only permutes positions at or before the
+  // unshard, so original instruction i always lands next at position i.
+  // Deps stay in original indices until the single ApplyOrder at the end.
+  const int n = plan.size();
+  std::vector<int> order;
+  order.reserve(static_cast<size_t>(n));
+  auto at = [&](int p) -> const Instr& {
+    return plan.instrs[static_cast<size_t>(order[static_cast<size_t>(p)])];
+  };
   int rewrites = 0;
-  for (int i = 0; i < plan.size(); ++i) {
+  for (int i = 0; i < n; ++i) {
+    order.push_back(i);
     const Instr& un = plan.instrs[static_cast<size_t>(i)];
     if (un.op != Op::kUnshard) continue;
     // The unshard's rate-limiter gate travels with it.
     int b = i;
     if (b > 0) {
-      const Instr& prev = plan.instrs[static_cast<size_t>(b - 1)];
+      const Instr& prev = at(b - 1);
       if (prev.op == Op::kRateLimitGate && prev.unit == un.unit) b = i - 1;
     }
     int dst = b;
     int computes = 0;
     for (int j = b - 1; j >= 0; --j) {
-      const Instr& x = plan.instrs[static_cast<size_t>(j)];
+      const Instr& x = at(j);
       // Blockers: collective issue order is preserved (comm lane), same-unit
       // instructions, explicit deps, phase joins, microbatch boundaries —
       // and, under the rate limiter, any allocator release: gates unblock on
@@ -376,7 +401,7 @@ int HoistUnshards(StepPlan& plan, const PassOptions& options) {
       if (SharesUnit(x, un)) break;
       if (x.op == Op::kOptimStep || x.op == Op::kWaitReduceGrad) break;
       if (x.microbatch != un.microbatch) break;
-      if (DependsOnRange(un, j, j + 1)) break;
+      if (DependsOn(un, order[static_cast<size_t>(j)])) break;
       if (has_gates && (x.op == Op::kReshard || x.op == Op::kFreeGrad ||
                         x.op == Op::kFreeAct)) {
         break;
@@ -389,10 +414,11 @@ int HoistUnshards(StepPlan& plan, const PassOptions& options) {
     }
     // Only a move that crosses compute buys overlap.
     if (dst < b && computes > 0) {
-      MoveBlock(plan, b, i + 1, dst);
+      std::rotate(order.begin() + dst, order.begin() + b, order.end());
       ++rewrites;
     }
   }
+  if (rewrites > 0) ApplyOrder(plan, order);
   return rewrites;
 }
 
@@ -460,7 +486,8 @@ int FuseAllGathers(StepPlan& plan, const PassOptions& options) {
       Instr& fused = plan.instrs[static_cast<size_t>(i)];
       for (int m : members) {
         const Instr& mem = plan.instrs[static_cast<size_t>(m)];
-        for (int u : CoveredUnits(mem)) fused.batch_units.push_back(u);
+        ForEachCoveredUnit(mem,
+                           [&](int u) { fused.batch_units.push_back(u); });
         for (int d : mem.deps) {
           if (std::find(fused.deps.begin(), fused.deps.end(), d) ==
               fused.deps.end()) {
@@ -490,27 +517,48 @@ int FuseAllGathers(StepPlan& plan, const PassOptions& options) {
 
 int SinkReduces(StepPlan& plan, const PassOptions& options) {
   if (options.max_sink_computes <= 0) return 0;
+  // The rewritten suffix, reversed: rev[k] is the original index of the
+  // instruction at position n-1-k, so push_back prepends. A sink only
+  // permutes positions at or after its reduce, so original instruction i
+  // always lands next at position i. Deps stay in original indices until
+  // the single ApplyOrder at the end.
+  const int n = plan.size();
+  std::vector<int> rev;
+  rev.reserve(static_cast<size_t>(n));
+  auto at = [&](int p) -> const Instr& {
+    const int k = n - 1 - p;
+    return plan.instrs[static_cast<size_t>(rev[static_cast<size_t>(k)])];
+  };
   int rewrites = 0;
   // Right-to-left so chains pack toward the tail and become adjacent.
-  for (int i = plan.size() - 1; i >= 0; --i) {
-    if (plan.instrs[static_cast<size_t>(i)].op != Op::kReduceGrad) continue;
+  for (int i = n - 1; i >= 0; --i) {
+    rev.push_back(i);
+    const Instr& red = plan.instrs[static_cast<size_t>(i)];
+    if (red.op != Op::kReduceGrad) continue;
     // The group: the reduce plus its dependent chain (replica AllReduce,
     // offload D2H, gradient free), contiguous by construction.
     int e = i + 1;
-    while (e < plan.size()) {
-      const Instr& x = plan.instrs[static_cast<size_t>(e)];
+    while (e < n) {
+      const Instr& x = at(e);
       const bool chained = (x.op == Op::kAllReduceReplicas ||
                             x.op == Op::kGradOffloadD2H ||
                             x.op == Op::kFreeGrad) &&
-                           x.unit == plan.instrs[static_cast<size_t>(i)].unit;
+                           x.unit == red.unit;
       if (!chained) break;
       ++e;
     }
-    const int mb = plan.instrs[static_cast<size_t>(i)].microbatch;
+    // Positions [i, e) in original indices: rev[n-e, n-i).
+    const auto group_begin = rev.end() - (e - i);
+    auto depends_on_group = [&](const Instr& x) {
+      for (int d : x.deps) {
+        if (std::find(group_begin, rev.end(), d) != rev.end()) return true;
+      }
+      return false;
+    };
     int dst = e;  // insert-before position
     int computes = 0;
-    for (int j = e; j < plan.size(); ++j) {
-      const Instr& x = plan.instrs[static_cast<size_t>(j)];
+    for (int j = e; j < n; ++j) {
+      const Instr& x = at(j);
       // Sinking deliberately crosses comm-lane AllGathers (prefetch issues
       // first — the reordering win) but never another reduction, the
       // end-of-backward join, or anything that consumes the group's result.
@@ -521,9 +569,9 @@ int SinkReduces(StepPlan& plan, const PassOptions& options) {
           x.op == Op::kRecvAct) {
         break;
       }
-      if (x.stage != plan.instrs[static_cast<size_t>(i)].stage) break;
-      if (x.microbatch != mb) break;
-      if (DependsOnRange(x, i, e)) break;
+      if (x.stage != red.stage) break;
+      if (x.microbatch != red.microbatch) break;
+      if (depends_on_group(x)) break;
       if (x.op == Op::kCompute) {
         if (computes + 1 > options.max_sink_computes) break;
         ++computes;
@@ -531,10 +579,15 @@ int SinkReduces(StepPlan& plan, const PassOptions& options) {
       dst = j + 1;
     }
     if (dst > e) {
-      MoveBlock(plan, i, e, dst);
+      // Reversed, positions [i, dst) read as (crossed, group); moving the
+      // group behind what it crossed brings it to the front of that span.
+      std::rotate(rev.end() - (dst - i), group_begin, rev.end());
       ++rewrites;
     }
   }
+  if (rewrites == 0) return 0;
+  std::reverse(rev.begin(), rev.end());
+  ApplyOrder(plan, rev);
   return rewrites;
 }
 
@@ -604,7 +657,8 @@ int FuseReduceScatters(StepPlan& plan, const PassOptions& options) {
       Instr& fused = plan.instrs[static_cast<size_t>(i)];
       for (int m : members) {
         const Instr& mem = plan.instrs[static_cast<size_t>(m)];
-        for (int u : CoveredUnits(mem)) fused.batch_units.push_back(u);
+        ForEachCoveredUnit(mem,
+                           [&](int u) { fused.batch_units.push_back(u); });
         for (int d : mem.deps) {
           if (std::find(fused.deps.begin(), fused.deps.end(), d) ==
               fused.deps.end()) {
@@ -714,13 +768,13 @@ ArenaPlan BuildArenaPlan(const StepPlan& plan,
     const Instr& in = plan.instrs[static_cast<size_t>(i)];
     switch (in.op) {
       case Op::kUnshard:
-        for (int u : CoveredUnits(in)) {
+        ForEachCoveredUnit(in, [&](int u) {
           Live& l = live[static_cast<size_t>(u)];
           if (l.param < 0) {
             l.param = open(BufKind::kParam, u,
                            UnitBytesOrZero(options.param_bytes, u), i);
           }
-        }
+        });
         break;
       case Op::kCompute: {
         if (in.unit < 0) break;

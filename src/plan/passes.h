@@ -25,6 +25,14 @@
 // reduce-after-backward ordering — while deliberately changing the canonical
 // *sequence* (that is the optimization).
 //
+// Cost: each pass is one scan plus one rebuild of the plan. The reordering
+// passes track the rewritten order as a vector of original indices (deps
+// keep their original numbering meanwhile) and apply it with a single
+// ApplyOrder; the fusion passes apply their merges with a single erase-and-
+// remap. So a pass costs O(n + instructions its blockers scan), and a
+// PlanValidator check is one linear walk with no per-instruction heap
+// allocation.
+//
 // Static memory planning (BuildArenaPlan) is the third compiler product: a
 // liveness walk over the plan (mirroring exactly where the simulator's
 // interpreter allocates and frees) yields per-buffer lifetime intervals, and
@@ -44,7 +52,9 @@
 namespace fsdp::plan {
 
 /// Structural checker for StepPlans — the gate every compiler pass runs
-/// behind. Checks are linear walks over the instruction list:
+/// behind. Checks are linear walks over the instruction list that allocate
+/// per plan (flat per-unit and per-(microbatch, unit) tables), never per
+/// instruction:
 ///
 ///  * dependency sanity: every dep index points strictly earlier (the IR is
 ///    a topologically ordered list, so a forward/self edge IS a cycle);

@@ -75,16 +75,6 @@ obs::EventKind ToEventKind(Op op, Phase phase) {
   return obs::EventKind::kMarker;
 }
 
-std::vector<int> CoveredUnits(const Instr& instr) {
-  std::vector<int> units;
-  if (instr.unit < 0) return units;
-  units.reserve(instr.batch_units.size() + 1);
-  units.push_back(instr.unit);
-  units.insert(units.end(), instr.batch_units.begin(),
-               instr.batch_units.end());
-  return units;
-}
-
 std::string RenderInstr(const Instr& instr,
                         const std::vector<std::string>& names) {
   std::string label;

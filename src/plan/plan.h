@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "obs/trace.h"
@@ -149,9 +150,30 @@ obs::EventKind ToEventKind(Op op, Phase phase);
 std::string RenderInstr(const Instr& instr,
                         const std::vector<std::string>& names);
 
-/// The units a (possibly batched) collective covers: `unit` followed by
-/// `batch_units`. Returns an empty vector for unit-less instructions.
-std::vector<int> CoveredUnits(const Instr& instr);
+/// Visits the units a (possibly batched) collective covers, in order:
+/// `unit`, then `batch_units`; nothing for unit-less instructions. No
+/// allocation. A visitor that returns bool ends the walk by returning true,
+/// and the call then returns true; a void visitor sees every unit.
+template <typename F>
+bool ForEachCoveredUnit(const Instr& instr, F&& visit) {
+  if (instr.unit < 0) return false;
+  if constexpr (std::is_void_v<std::invoke_result_t<F&, int>>) {
+    visit(instr.unit);
+    for (int u : instr.batch_units) visit(u);
+    return false;
+  } else {
+    if (visit(instr.unit)) return true;
+    for (int u : instr.batch_units) {
+      if (visit(u)) return true;
+    }
+    return false;
+  }
+}
+
+/// How many units ForEachCoveredUnit visits.
+inline int NumCoveredUnits(const Instr& instr) {
+  return instr.unit < 0 ? 0 : 1 + static_cast<int>(instr.batch_units.size());
+}
 
 /// True for ops that define the schedule the paper's claims are about —
 /// collective issues, computes, waits, and resharding frees. Substrate

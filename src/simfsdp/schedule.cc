@@ -368,6 +368,7 @@ SimMetrics FsdpSimulator::Run() {
     if (extra >= 0) t.push_back(extra);
     return t;
   };
+  std::vector<int> need;  // an unshard's not-yet-gathered covered units
 
   // ---- iterations: replay the same step plan back-to-back ----
   sim::SimTime prev_iter_end = 0;
@@ -412,14 +413,14 @@ SimMetrics FsdpSimulator::Run() {
           // exactly their own unit. Units retained from a previous step are
           // skipped (the runtime's issue guard).
           int64_t sum_shard = 0, sum_unsharded = 0;
-          std::vector<int> need;
-          for (int cu : plan::CoveredUnits(in)) {
+          need.clear();
+          plan::ForEachCoveredUnit(in, [&](int cu) {
             const UnitSim& u = units[static_cast<size_t>(cu)];
-            if (u.unsharded) continue;
+            if (u.unsharded) return;
             need.push_back(cu);
             sum_shard += u.shard_bytes;
             sum_unsharded += u.unsharded_bytes;
-          }
+          });
           if (need.empty()) break;  // retained from a previous step
           for (int cu : need) {
             UnitSim& u = units[static_cast<size_t>(cu)];
@@ -570,11 +571,11 @@ SimMetrics FsdpSimulator::Run() {
           // unit's gradient in one ReduceScatter.
           int64_t sum_reduce = 0;
           std::string label;
-          for (int cu : plan::CoveredUnits(in)) {
+          plan::ForEachCoveredUnit(in, [&](int cu) {
             sum_reduce += units[static_cast<size_t>(cu)].reduce_total_bytes;
             if (!label.empty()) label += "+";
             label += units[static_cast<size_t>(cu)].label;
-          }
+          });
           done[ip] = comm.Launch(cpu, cm.ReduceScatter(sum_reduce, shard_g),
                                  dep_times(in), obs::EventKind::kReduceScatter,
                                  label, sum_reduce);

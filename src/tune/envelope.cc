@@ -77,11 +77,11 @@ Envelope ComputeEnvelope(const CompiledCandidate& cc, const TuneInputs& in) {
       switch (instr.op) {
         case plan::Op::kUnshard: {
           int64_t sum_shard = 0;
-          for (int cu : plan::CoveredUnits(instr)) {
-            if (unsharded[static_cast<size_t>(cu)]) continue;
+          plan::ForEachCoveredUnit(instr, [&](int cu) {
+            if (unsharded[static_cast<size_t>(cu)]) return;
             sum_shard += shard_bytes[static_cast<size_t>(cu)];
             unsharded[static_cast<size_t>(cu)] = 1;
-          }
+          });
           if (count && sum_shard > 0) {
             if (cc.config.cpu_offload_params) comm += sum_shard / pcie_bw;
             comm += static_cast<double>(shard_g.size - 1) * sum_shard /
@@ -101,9 +101,9 @@ Envelope ComputeEnvelope(const CompiledCandidate& cc, const TuneInputs& in) {
         case plan::Op::kReduceGrad: {
           if (!count) break;
           int64_t sum_reduce = 0;
-          for (int cu : plan::CoveredUnits(instr)) {
+          plan::ForEachCoveredUnit(instr, [&](int cu) {
             sum_reduce += reduce_bytes[static_cast<size_t>(cu)];
-          }
+          });
           comm += static_cast<double>(shard_g.size - 1) *
                   (static_cast<double>(sum_reduce) /
                    std::max(shard_g.size, 1)) /

@@ -205,8 +205,17 @@ std::vector<TuneCandidate> HandTunedPresets(const sim::Topology& topo) {
   return out;
 }
 
-Status CompileCandidate(const TuneCandidate& cand, const TuneInputs& in,
-                        CompiledCandidate* out) {
+bool TuneCandidate::SameSchedule(const TuneCandidate& o) const {
+  return backward_prefetch == o.backward_prefetch &&
+         forward_prefetch == o.forward_prefetch &&
+         limit_all_gathers == o.limit_all_gathers &&
+         sharding_factor == o.sharding_factor &&
+         reshard_after_forward == o.reshard_after_forward &&
+         wrap_blocks_per_unit == o.wrap_blocks_per_unit;
+}
+
+Status LowerSchedule(const TuneCandidate& cand, const TuneInputs& in,
+                     CompiledCandidate* out) {
   const int world = in.topo.world();
   if (cand.sharding_factor < 0 || cand.sharding_factor > world ||
       (cand.sharding_factor > 0 && world % cand.sharding_factor != 0)) {
@@ -237,10 +246,23 @@ Status CompileCandidate(const TuneCandidate& cand, const TuneInputs& in,
 
   cc.plan = simfsdp::BuildSimStepPlan(cc.workload, in.topo, cc.config);
   cc.pass_options = simfsdp::MakePassOptions(cc.workload, in.topo, cc.config);
-  cc.pass_options.fuse_below_bytes = cand.fuse_below_bytes;
-  cc.pass_options.max_hoist_computes = cand.max_hoist_computes;
-  cc.pass_options.max_sink_computes = cand.max_sink_computes;
-  cc.passes = plan::PassManager::Default(cc.pass_options).Run(cc.plan);
+  *out = std::move(cc);
+  return Status::OK();
+}
+
+void CompileBudgets(const TuneCandidate& cand, CompiledCandidate* cc) {
+  cc->cand = cand;
+  cc->pass_options.fuse_below_bytes = cand.fuse_below_bytes;
+  cc->pass_options.max_hoist_computes = cand.max_hoist_computes;
+  cc->pass_options.max_sink_computes = cand.max_sink_computes;
+  cc->passes = plan::PassManager::Default(cc->pass_options).Run(cc->plan);
+}
+
+Status CompileCandidate(const TuneCandidate& cand, const TuneInputs& in,
+                        CompiledCandidate* out) {
+  CompiledCandidate cc;
+  if (Status s = LowerSchedule(cand, in, &cc); !s.ok()) return s;
+  CompileBudgets(cand, &cc);
   *out = std::move(cc);
   return Status::OK();
 }

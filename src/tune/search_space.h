@@ -52,6 +52,10 @@ struct TuneCandidate {
   int max_hoist_computes = 0;    // 0 disables HoistUnshards
   int max_sink_computes = 0;     // 0 disables SinkReduces
 
+  /// True when every schedule knob and the wrap granularity match: the two
+  /// candidates lower to the same workload, config and unoptimized plan,
+  /// and differ at most in their compiler budgets.
+  bool SameSchedule(const TuneCandidate& other) const;
   /// Canonical "knob=value,..." encoding — stable across runs, used for
   /// dedupe and as the deterministic final tie-break in score comparisons.
   std::string Key() const;
@@ -136,8 +140,22 @@ std::vector<TuneCandidate> HandTunedPresets(const sim::Topology& topo);
 /// (FsdpPlanOptions::Validate via simfsdp::MakeSimPlanOptions, sharding
 /// factor divides world), applies wrap granularity, builds the sim-shape
 /// plan, and runs the default compiler pipeline with the candidate's
-/// budgets. Returns Invalid for inconsistent knob combinations.
+/// budgets. Returns Invalid for inconsistent knob combinations. It is
+/// LowerSchedule followed by CompileBudgets.
 Status CompileCandidate(const TuneCandidate& cand, const TuneInputs& in,
                         CompiledCandidate* out);
+
+/// The schedule half of CompileCandidate: everything but the compiler
+/// pipeline. `out->plan` is the unoptimized plan and `out->pass_options`
+/// carries the per-unit bytes with the default budgets. Depends only on the
+/// fields TuneCandidate::SameSchedule compares, so one result serves every
+/// candidate with the same schedule.
+Status LowerSchedule(const TuneCandidate& cand, const TuneInputs& in,
+                     CompiledCandidate* out);
+
+/// The compiler half: takes `cc` from LowerSchedule (of a candidate with
+/// the same schedule), sets `cand` and its budgets, and runs the default
+/// pipeline over `cc->plan`.
+void CompileBudgets(const TuneCandidate& cand, CompiledCandidate* cc);
 
 }  // namespace fsdp::tune

@@ -97,6 +97,23 @@ TuneReport Autotune(const TuneInputs& in0, const SearchSpace& space,
         .Run();
   };
 
+  // One-entry memo of the last lowered schedule. The grid varies the
+  // compiler budgets fastest, so runs of consecutive candidates share one
+  // workload, config and unoptimized plan; only the passes differ.
+  std::optional<TuneCandidate> lowered_for;
+  Status lowered_status;
+  CompiledCandidate lowered;
+  auto compile = [&](const TuneCandidate& c, CompiledCandidate* cc) {
+    if (!lowered_for || !lowered_for->SameSchedule(c)) {
+      lowered_for = c;
+      lowered_status = LowerSchedule(c, in, &lowered);
+    }
+    if (!lowered_status.ok()) return lowered_status;
+    *cc = lowered;
+    CompileBudgets(c, cc);
+    return Status::OK();
+  };
+
   std::optional<CompiledCandidate> best_cc;
   simfsdp::SimMetrics best_metrics;
   Envelope best_env;
@@ -127,7 +144,7 @@ TuneReport Autotune(const TuneInputs& in0, const SearchSpace& space,
     out.cand = p;
     out.stage = "preset";
     CompiledCandidate cc;
-    if (Status s = CompileCandidate(p, in, &cc); !s.ok()) {
+    if (Status s = compile(p, &cc); !s.ok()) {
       out.pruned = "invalid";
       outcomes.push_back(std::move(out));
       continue;
@@ -175,7 +192,7 @@ TuneReport Autotune(const TuneInputs& in0, const SearchSpace& space,
       continue;
     }
     CompiledCandidate cc;
-    if (Status s = CompileCandidate(g, in, &cc); !s.ok()) {
+    if (Status s = compile(g, &cc); !s.ok()) {
       out.pruned = "invalid";
       seen.insert(g.Key());
       outcomes.push_back(std::move(out));
@@ -295,7 +312,7 @@ TuneReport Autotune(const TuneInputs& in0, const SearchSpace& space,
       out.stage = "mutation";
       seen.insert(nb.Key());
       CompiledCandidate cc;
-      if (Status s = CompileCandidate(nb, in, &cc); !s.ok()) {
+      if (Status s = compile(nb, &cc); !s.ok()) {
         out.pruned = "invalid";
         outcomes.push_back(std::move(out));
         continue;

@@ -362,9 +362,9 @@ std::multiset<std::string> AxisCommMultiset(const StepPlan& p) {
       out.insert(key.str());
       continue;
     }
-    for (int u : plan::CoveredUnits(in)) {
+    plan::ForEachCoveredUnit(in, [&](int u) {
       out.insert(key.str() + "/" + p.unit_names[static_cast<size_t>(u)]);
-    }
+    });
   }
   return out;
 }

@@ -7,7 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,6 +23,7 @@
 #include "sim/allocator.h"
 #include "simfsdp/schedule.h"
 #include "simfsdp/workload.h"
+#include "tune/search_space.h"
 
 namespace fsdp {
 namespace {
@@ -67,6 +73,393 @@ plan::StepPlan MakePlan(std::vector<std::string> names,
   p.instrs = std::move(instrs);
   return p;
 }
+
+// ----------------------------------------------------------------- oracle
+//
+// The reordering passes and the validator as they were written before they
+// became linear: every hoist or sink rebuilt and renumbered the whole plan
+// (MoveBlock), and the validator collected covered units, stages and
+// per-microbatch reductions into fresh containers. They live only here, as
+// the reference the rewritten versions in plan/passes.cc must match field
+// for field and message for message.
+namespace oracle {
+
+using plan::Axis;
+using plan::Instr;
+using plan::Lane;
+using plan::Op;
+using plan::Phase;
+using plan::PassOptions;
+using plan::RenderInstr;
+using plan::Seg;
+using plan::StepPlan;
+
+std::vector<int> CoveredUnits(const Instr& instr) {
+  std::vector<int> units;
+  if (instr.unit < 0) return units;
+  units.push_back(instr.unit);
+  units.insert(units.end(), instr.batch_units.begin(),
+               instr.batch_units.end());
+  return units;
+}
+
+void ApplyOrder(StepPlan& plan, const std::vector<int>& order) {
+  const int n = plan.size();
+  std::vector<int> inv(static_cast<size_t>(n), 0);
+  for (int p = 0; p < n; ++p) inv[static_cast<size_t>(order[p])] = p;
+  std::vector<Instr> out;
+  out.reserve(static_cast<size_t>(n));
+  for (int p = 0; p < n; ++p) {
+    out.push_back(std::move(plan.instrs[static_cast<size_t>(order[p])]));
+  }
+  for (Instr& in : out) {
+    for (int& d : in.deps) d = inv[static_cast<size_t>(d)];
+  }
+  plan.instrs = std::move(out);
+}
+
+/// Moves the contiguous block [b, e) to start at position dst (dst < b:
+/// hoist; dst >= e: sink to just before old index dst).
+void MoveBlock(StepPlan& plan, int b, int e, int dst) {
+  const int n = plan.size();
+  std::vector<int> order;
+  order.reserve(static_cast<size_t>(n));
+  if (dst < b) {
+    for (int k = 0; k < dst; ++k) order.push_back(k);
+    for (int k = b; k < e; ++k) order.push_back(k);
+    for (int k = dst; k < b; ++k) order.push_back(k);
+    for (int k = e; k < n; ++k) order.push_back(k);
+  } else {
+    for (int k = 0; k < b; ++k) order.push_back(k);
+    for (int k = e; k < dst; ++k) order.push_back(k);
+    for (int k = b; k < e; ++k) order.push_back(k);
+    for (int k = dst; k < n; ++k) order.push_back(k);
+  }
+  ApplyOrder(plan, order);
+}
+
+bool SharesUnit(const Instr& a, const Instr& b) {
+  for (int ua : CoveredUnits(a)) {
+    for (int ub : CoveredUnits(b)) {
+      if (ua == ub) return true;
+    }
+  }
+  return false;
+}
+
+bool DependsOnRange(const Instr& in, int b, int e) {
+  for (int d : in.deps) {
+    if (d >= b && d < e) return true;
+  }
+  return false;
+}
+
+int HoistUnshards(StepPlan& plan, const PassOptions& options) {
+  if (options.max_hoist_computes <= 0) return 0;
+  bool has_gates = false;
+  for (const Instr& in : plan.instrs) {
+    if (in.op == Op::kRateLimitGate) has_gates = true;
+  }
+  int rewrites = 0;
+  for (int i = 0; i < plan.size(); ++i) {
+    const Instr& un = plan.instrs[static_cast<size_t>(i)];
+    if (un.op != Op::kUnshard) continue;
+    int b = i;
+    if (b > 0) {
+      const Instr& prev = plan.instrs[static_cast<size_t>(b - 1)];
+      if (prev.op == Op::kRateLimitGate && prev.unit == un.unit) b = i - 1;
+    }
+    int dst = b;
+    int computes = 0;
+    for (int j = b - 1; j >= 0; --j) {
+      const Instr& x = plan.instrs[static_cast<size_t>(j)];
+      if (x.lane == Lane::kComm) break;
+      if (SharesUnit(x, un)) break;
+      if (x.op == Op::kOptimStep || x.op == Op::kWaitReduceGrad) break;
+      if (x.microbatch != un.microbatch) break;
+      if (DependsOnRange(un, j, j + 1)) break;
+      if (has_gates && (x.op == Op::kReshard || x.op == Op::kFreeGrad ||
+                        x.op == Op::kFreeAct)) {
+        break;
+      }
+      if (x.op == Op::kCompute) {
+        if (computes + 1 > options.max_hoist_computes) break;
+        ++computes;
+      }
+      dst = j;
+    }
+    if (dst < b && computes > 0) {
+      MoveBlock(plan, b, i + 1, dst);
+      ++rewrites;
+    }
+  }
+  return rewrites;
+}
+
+int SinkReduces(StepPlan& plan, const PassOptions& options) {
+  if (options.max_sink_computes <= 0) return 0;
+  int rewrites = 0;
+  for (int i = plan.size() - 1; i >= 0; --i) {
+    if (plan.instrs[static_cast<size_t>(i)].op != Op::kReduceGrad) continue;
+    int e = i + 1;
+    while (e < plan.size()) {
+      const Instr& x = plan.instrs[static_cast<size_t>(e)];
+      const bool chained = (x.op == Op::kAllReduceReplicas ||
+                            x.op == Op::kGradOffloadD2H ||
+                            x.op == Op::kFreeGrad) &&
+                           x.unit == plan.instrs[static_cast<size_t>(i)].unit;
+      if (!chained) break;
+      ++e;
+    }
+    const int mb = plan.instrs[static_cast<size_t>(i)].microbatch;
+    int dst = e;
+    int computes = 0;
+    for (int j = e; j < plan.size(); ++j) {
+      const Instr& x = plan.instrs[static_cast<size_t>(j)];
+      if (x.op == Op::kReduceGrad || x.op == Op::kWaitReduceGrad ||
+          x.op == Op::kOptimStep || x.op == Op::kSendAct ||
+          x.op == Op::kRecvAct) {
+        break;
+      }
+      if (x.stage != plan.instrs[static_cast<size_t>(i)].stage) break;
+      if (x.microbatch != mb) break;
+      if (DependsOnRange(x, i, e)) break;
+      if (x.op == Op::kCompute) {
+        if (computes + 1 > options.max_sink_computes) break;
+        ++computes;
+      }
+      dst = j + 1;
+    }
+    if (dst > e) {
+      MoveBlock(plan, i, e, dst);
+      ++rewrites;
+    }
+  }
+  return rewrites;
+}
+
+Status Check(const StepPlan& plan) {
+  const int n = plan.size();
+  const int nu = static_cast<int>(plan.unit_names.size());
+  auto fail = [&](int i, const std::string& what) {
+    std::ostringstream oss;
+    oss << "instr " << i << " ("
+        << RenderInstr(plan.instrs[static_cast<size_t>(i)], plan.unit_names)
+        << " mb" << plan.instrs[static_cast<size_t>(i)].microbatch << "): "
+        << what;
+    return Status::Invalid(oss.str());
+  };
+
+  // Units the plan manages (ever unshards). Units never unsharded are
+  // treated as resident from the start: DDP plans, and runtime-recorded
+  // steps that inherit gathered parameters from a previous no_sync step.
+  std::vector<char> managed(static_cast<size_t>(nu), 0);
+  bool has_unshard = false;
+  bool has_compute = false;
+  // Stages with any instruction in this plan. Per-rank executed logs and
+  // FilterStage projections only carry one stage; send/recv matching is
+  // skipped against stages the plan does not contain.
+  std::set<int> stages_present;
+  for (int i = 0; i < n; ++i) {
+    const Instr& in = plan.instrs[static_cast<size_t>(i)];
+    for (int u : CoveredUnits(in)) {
+      if (u < 0 || u >= nu) return fail(i, "unit index out of range");
+    }
+    if (in.op == Op::kUnshard) {
+      has_unshard = true;
+      for (int u : CoveredUnits(in)) managed[static_cast<size_t>(u)] = 1;
+    }
+    if (in.op == Op::kCompute) has_compute = true;
+    if (in.stage >= 0) stages_present.insert(in.stage);
+  }
+
+  std::vector<char> gathered(static_cast<size_t>(nu), 0);
+  for (int u = 0; u < nu; ++u) {
+    if (!managed[static_cast<size_t>(u)]) gathered[static_cast<size_t>(u)] = 1;
+  }
+  std::vector<char> grad_live(static_cast<size_t>(nu), 0);
+  std::vector<char> act_live(static_cast<size_t>(nu), 0);
+  std::vector<int> last_bwd_mb(static_cast<size_t>(nu), -1);
+  // Per-microbatch reduction bookkeeping for duplicate + coverage checks.
+  std::map<int, std::set<int>> bwd_units, reduced_units;
+  // Pipeline boundary matching: sends keyed by (sender stage, receiver
+  // stage, phase, microbatch) queue up until the matching recv consumes
+  // them. Plan order is issue order, so a recv whose send appears later
+  // would deadlock the composed run — that is the cross-axis cycle check.
+  using P2pKey = std::tuple<int, int, int, int>;
+  std::map<P2pKey, std::deque<int>> pending_sends;
+  bool after_optim = false;
+
+  for (int i = 0; i < n; ++i) {
+    const Instr& in = plan.instrs[static_cast<size_t>(i)];
+    for (int d : in.deps) {
+      if (d < 0 || d >= i) {
+        return fail(i, "dep " + std::to_string(d) +
+                           " does not point strictly earlier (cycle)");
+      }
+    }
+    if (after_optim) return fail(i, "instruction after kOptimStep");
+
+    // Axis discipline: the FSDP schedule lives on the dp axis; TP
+    // collectives and pipeline point-to-points carry their own axis tags so
+    // the simulator (and trace lanes) route them onto the right fabric.
+    switch (in.op) {
+      case Op::kTpAllGather:
+      case Op::kTpAllReduce:
+        if (in.axis != Axis::kTp) {
+          return fail(i, "tensor-parallel collective off the tp axis");
+        }
+        break;
+      case Op::kSendAct:
+      case Op::kRecvAct:
+        if (in.axis != Axis::kPp) {
+          return fail(i, "pipeline send/recv off the pp axis");
+        }
+        break;
+      default:
+        if (in.axis != Axis::kDp) {
+          return fail(i, "FSDP instruction tagged off the dp axis");
+        }
+        break;
+    }
+
+    switch (in.op) {
+      case Op::kUnshard:
+        for (int u : CoveredUnits(in)) {
+          if (gathered[static_cast<size_t>(u)]) {
+            return fail(i, "redundant unshard: unit already gathered");
+          }
+          gathered[static_cast<size_t>(u)] = 1;
+        }
+        break;
+      case Op::kWaitUnshard:
+        if (in.unit >= 0 && managed[static_cast<size_t>(in.unit)] &&
+            !gathered[static_cast<size_t>(in.unit)]) {
+          return fail(i, "wait on a unit that is not gathered");
+        }
+        break;
+      case Op::kCompute: {
+        if (in.unit < 0) return fail(i, "compute without a unit");
+        const size_t u = static_cast<size_t>(in.unit);
+        if (managed[u] && !gathered[u]) {
+          return fail(i, "compute on a resharded unit (use-after-free)");
+        }
+        if (in.phase == Phase::kBackward) {
+          last_bwd_mb[u] = in.microbatch;
+          grad_live[u] = 1;
+          if (in.seg != Seg::kRootHead) {
+            bwd_units[in.microbatch].insert(in.unit);
+          }
+        } else if (in.phase == Phase::kForward && in.seg == Seg::kMain) {
+          act_live[u] = 1;
+        }
+        break;
+      }
+      case Op::kReduceGrad:
+        for (int u : CoveredUnits(in)) {
+          // Reduce-only logs (DDP's executed plan records buckets, not
+          // computes) can't anchor reductions to a backward — skip.
+          if (has_compute &&
+              last_bwd_mb[static_cast<size_t>(u)] != in.microbatch) {
+            return fail(i, "reduction of unit " + std::to_string(u) +
+                               " without a backward compute this "
+                               "microbatch");
+          }
+          if (!reduced_units[in.microbatch].insert(u).second) {
+            return fail(i, "duplicate reduction of unit " +
+                               std::to_string(u) + " this microbatch");
+          }
+        }
+        break;
+      case Op::kReshard: {
+        if (in.unit < 0) return fail(i, "reshard without a unit");
+        const size_t u = static_cast<size_t>(in.unit);
+        if (!gathered[u]) {
+          return fail(i, "reshard of an already-sharded unit (double free)");
+        }
+        if (!in.retain) gathered[u] = 0;
+        break;
+      }
+      case Op::kFreeGrad: {
+        if (in.unit < 0) return fail(i, "free-grad without a unit");
+        const size_t u = static_cast<size_t>(in.unit);
+        if (!grad_live[u]) return fail(i, "double free of gradient buffer");
+        grad_live[u] = 0;
+        break;
+      }
+      case Op::kFreeAct: {
+        if (in.unit < 0) return fail(i, "free-act without a unit");
+        const size_t u = static_cast<size_t>(in.unit);
+        if (!act_live[u]) return fail(i, "double free of activation buffer");
+        act_live[u] = 0;
+        break;
+      }
+      case Op::kOptimStep:
+        after_optim = true;
+        break;
+      case Op::kSendAct:
+        if (in.stage < 0 || in.peer_stage < 0) {
+          return fail(i, "send without stage/peer-stage tags");
+        }
+        pending_sends[{in.stage, in.peer_stage, static_cast<int>(in.phase),
+                       in.microbatch}]
+            .push_back(i);
+        break;
+      case Op::kRecvAct: {
+        if (in.stage < 0 || in.peer_stage < 0) {
+          return fail(i, "recv without stage/peer-stage tags");
+        }
+        if (stages_present.count(in.peer_stage) == 0) break;
+        auto& q = pending_sends[{in.peer_stage, in.stage,
+                                 static_cast<int>(in.phase), in.microbatch}];
+        if (q.empty()) {
+          return fail(i,
+                      "recv with no earlier matching send (unmatched recv, "
+                      "or a send scheduled after its recv — cross-stage "
+                      "cycle)");
+        }
+        q.pop_front();
+        break;
+      }
+      case Op::kTpAllGather:
+      case Op::kTpAllReduce:
+      case Op::kRateLimitGate:
+      case Op::kInputExchange:
+      case Op::kAllReduceReplicas:
+      case Op::kGradOffloadD2H:
+      case Op::kWaitReduceGrad:
+        break;
+    }
+  }
+
+  // Every send whose receiving stage is in the plan must have been
+  // consumed; a dangling send is a peer blocked forever at step boundary.
+  for (const auto& [key, q] : pending_sends) {
+    if (q.empty()) continue;
+    if (stages_present.count(std::get<1>(key)) == 0) continue;
+    return fail(q.front(), "send never matched by a recv on stage " +
+                               std::to_string(std::get<1>(key)));
+  }
+
+  // Coverage: a microbatch that syncs at all must reduce every unit whose
+  // backward ran in it — a dropped reduction is the classic silent-wrong
+  // rewrite. DDP bucket plans (no unshards) key reductions by bucket
+  // boundary, not per unit; the per-unit coverage contract does not apply.
+  if (has_unshard) {
+    for (const auto& [mb, red] : reduced_units) {
+      for (int u : bwd_units[mb]) {
+        if (red.count(u) == 0) {
+          return Status::Invalid(
+              "microbatch " + std::to_string(mb) + " syncs but drops the "
+              "reduction of unit " + std::to_string(u));
+        }
+      }
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace oracle
 
 // ------------------------------------------------------------ PlanValidator
 
@@ -323,7 +716,7 @@ TEST(SinkThenFuseTest, PacksReduceChainsAndBatchesThem) {
   for (const plan::Instr& in : p.instrs) {
     if (in.op == plan::Op::kReduceGrad) {
       ++reduces;
-      EXPECT_EQ(plan::CoveredUnits(in).size(), 2u);
+      EXPECT_EQ(plan::NumCoveredUnits(in), 2);
     }
   }
   EXPECT_EQ(reduces, 1);
@@ -358,6 +751,279 @@ TEST(PassManagerTest, DefaultPipelineReportsEveryPass) {
   EXPECT_EQ(res.applied[3].first, "fuse-reducescatters");
   EXPECT_GT(res.total_rewrites(), 0);
   EXPECT_TRUE(plan::PlanValidator{}.Check(p).ok());
+}
+
+// ----------------------------------------- oracle: linear passes == MoveBlock
+
+/// The first field in which two plans differ ("" when identical).
+std::string FirstDiff(const plan::StepPlan& a, const plan::StepPlan& b) {
+  if (a.unit_names != b.unit_names) return "unit_names";
+  if (a.size() != b.size()) {
+    return "size " + std::to_string(a.size()) + " vs " +
+           std::to_string(b.size());
+  }
+  for (int i = 0; i < a.size(); ++i) {
+    const plan::Instr& x = a.instrs[static_cast<size_t>(i)];
+    const plan::Instr& y = b.instrs[static_cast<size_t>(i)];
+    const std::pair<const char*, bool> fields[] = {
+        {"op", x.op == y.op},
+        {"unit", x.unit == y.unit},
+        {"phase", x.phase == y.phase},
+        {"seg", x.seg == y.seg},
+        {"lane", x.lane == y.lane},
+        {"prefetch", x.prefetch == y.prefetch},
+        {"microbatch", x.microbatch == y.microbatch},
+        {"axis", x.axis == y.axis},
+        {"stage", x.stage == y.stage},
+        {"peer_stage", x.peer_stage == y.peer_stage},
+        {"bytes", x.bytes == y.bytes},
+        {"batch_units", x.batch_units == y.batch_units},
+        {"retain", x.retain == y.retain},
+        {"delay_us", x.delay_us == y.delay_us},
+        {"deps", x.deps == y.deps},
+    };
+    for (const auto& [name, same] : fields) {
+      if (!same) return "instr " + std::to_string(i) + " field " + name;
+    }
+  }
+  return "";
+}
+
+void ExpectSameVerdict(const plan::StepPlan& p) {
+  EXPECT_EQ(plan::PlanValidator{}.Check(p).ToString(),
+            oracle::Check(p).ToString());
+}
+
+struct OracleTally {
+  int plans = 0;
+  int hoists = 0;
+  int sinks = 0;
+  int valid = 0;
+  int invalid = 0;
+};
+
+/// Runs the default pipeline twice over `base` — once with the library's
+/// passes, once with the oracle's reordering passes — and requires the same
+/// rewrite counts, field-identical plans after each reordering pass, and
+/// the same validator verdict after every pass.
+void ExpectPipelinesMatch(const plan::StepPlan& base,
+                          const plan::PassOptions& opt, OracleTally* tally) {
+  plan::StepPlan lin = base, ref = base;
+  ExpectSameVerdict(base);
+  const int hoists = plan::HoistUnshards(lin, opt);
+  ASSERT_EQ(hoists, oracle::HoistUnshards(ref, opt));
+  ASSERT_EQ(FirstDiff(lin, ref), "") << "after hoist-unshards";
+  ExpectSameVerdict(lin);
+  plan::FuseAllGathers(lin, opt);
+  plan::FuseAllGathers(ref, opt);
+  ExpectSameVerdict(lin);
+  const int sinks = plan::SinkReduces(lin, opt);
+  ASSERT_EQ(sinks, oracle::SinkReduces(ref, opt));
+  ASSERT_EQ(FirstDiff(lin, ref), "") << "after sink-reduces";
+  ExpectSameVerdict(lin);
+  plan::FuseReduceScatters(lin, opt);
+  ExpectSameVerdict(lin);
+  ++tally->plans;
+  tally->hoists += hoists;
+  tally->sinks += sinks;
+}
+
+/// Seeded drop/swap edits of `base`: the validator and the oracle's
+/// validator must return the same Status string for every edited plan.
+void ExpectPerturbedVerdictsMatch(const plan::StepPlan& base, int trials,
+                                  Rng& rng, OracleTally* tally) {
+  for (int trial = 0; trial < trials && base.size() > 2; ++trial) {
+    plan::StepPlan p = base;
+    const uint64_t steps = 1 + rng.NextBelow(2);
+    for (uint64_t k = 0; k < steps; ++k) {
+      plan::Perturbation edit;
+      edit.kind = rng.NextBelow(2) == 0 ? plan::PerturbKind::kDropInstr
+                                        : plan::PerturbKind::kSwapAdjacent;
+      const int span = edit.kind == plan::PerturbKind::kSwapAdjacent
+                           ? p.size() - 1
+                           : p.size();
+      edit.index = static_cast<int>(rng.NextBelow(span));
+      p = plan::ApplyPerturbation(p, edit);
+    }
+    const std::string verdict = plan::PlanValidator{}.Check(p).ToString();
+    EXPECT_EQ(verdict, oracle::Check(p).ToString());
+    ++(plan::PlanValidator{}.Check(p).ok() ? tally->valid : tally->invalid);
+  }
+}
+
+/// A seeded sample of the tuner's grid for one workload: every sampled
+/// candidate with nonzero hoist and sink budgets is lowered as the tuner
+/// lowers it and compiled both ways.
+void CheckGridSample(const tune::TuneInputs& in, int samples, uint64_t seed,
+                     OracleTally* tally) {
+  std::vector<tune::TuneCandidate> grid =
+      tune::EnumerateCandidates(tune::SearchSpace::Default(in.topo));
+  Rng rng(seed, /*stream=*/0);
+  int taken = 0;
+  for (size_t i = 0; i < grid.size() && taken < samples; ++i) {
+    std::swap(grid[i], grid[i + rng.NextBelow(grid.size() - i)]);
+    const tune::TuneCandidate& cand = grid[i];
+    if (cand.max_hoist_computes <= 0 || cand.max_sink_computes <= 0) continue;
+    tune::CompiledCandidate cc;
+    if (!tune::LowerSchedule(cand, in, &cc).ok()) continue;
+    ++taken;
+    SCOPED_TRACE(in.workload.name + " " + cand.Key());
+    plan::PassOptions opt = cc.pass_options;
+    opt.fuse_below_bytes = cand.fuse_below_bytes;
+    opt.max_hoist_computes = cand.max_hoist_computes;
+    opt.max_sink_computes = cand.max_sink_computes;
+    ExpectPipelinesMatch(cc.plan, opt, tally);
+    tune::CompileBudgets(cand, &cc);
+    ExpectPerturbedVerdictsMatch(cc.plan, 2, rng, tally);
+  }
+  EXPECT_EQ(taken, samples);
+}
+
+tune::TuneInputs TunerCase(simfsdp::Workload w, sim::Topology topo,
+                           int batch) {
+  tune::TuneInputs in;
+  in.workload = std::move(w);
+  in.topo = topo;
+  in.base.batch_per_gpu = batch;
+  return in;
+}
+
+TEST(PassOracleTest, ReorderingMatchesMoveBlockOnTunerGridPlans) {
+  OracleTally tally;
+  CheckGridSample(TunerCase(simfsdp::T5_11B(), {2, 8}, 1), 96, 11, &tally);
+  CheckGridSample(TunerCase(simfsdp::GPT_175B(), {16, 8}, 2), 48, 12, &tally);
+  EXPECT_GT(tally.hoists, 0);
+  EXPECT_GT(tally.sinks, 0);
+  EXPECT_GT(tally.valid, 0);
+  EXPECT_GT(tally.invalid, 0);
+}
+
+TEST(PassOracleTest, ReorderingMatchesMoveBlockOnManySmallBlocks) {
+  OracleTally tally;
+  Rng rng(/*seed=*/13, /*stream=*/0);
+  for (int layers : {32, 128}) {
+    for (int limit : {0, 2}) {
+      SCOPED_TRACE("layers=" + std::to_string(layers) +
+                   " limiter=" + std::to_string(limit));
+      simfsdp::TransformerShape shape;
+      shape.name = "many-small";
+      shape.hidden = 256;
+      shape.layers = layers;
+      shape.heads = 4;
+      shape.seq = 64;
+      shape.vocab = 2048;
+      const simfsdp::Workload w = simfsdp::MakeTransformer(shape);
+      const sim::Topology topo{2, 8};
+      simfsdp::FsdpSimConfig cfg;
+      cfg.batch_per_gpu = 2;
+      cfg.limit_all_gathers = limit;
+      plan::PassOptions opt = simfsdp::MakePassOptions(w, topo, cfg);
+      opt.fuse_below_bytes = 8 << 20;
+      opt.max_hoist_computes = 4;
+      opt.max_sink_computes = 4;
+      const plan::StepPlan base = simfsdp::BuildSimStepPlan(w, topo, cfg);
+      ExpectPipelinesMatch(base, opt, &tally);
+      plan::StepPlan compiled = base;
+      plan::PassManager::Default(opt).Run(compiled);
+      ExpectPerturbedVerdictsMatch(compiled, 8, rng, &tally);
+    }
+  }
+  EXPECT_EQ(tally.plans, 4);
+  EXPECT_GT(tally.hoists, 0);
+  EXPECT_GT(tally.sinks, 0);
+  EXPECT_GT(tally.invalid, 0);
+}
+
+TEST(PassOracleTest, ReorderingMatchesMoveBlockWithExtraDeps) {
+  // Builder plans rarely give an unshard, or what follows a reduce chain, a
+  // dep that no other blocker already stops at. Seeded extra deps on nearby
+  // earlier instructions make the dep blockers decide, after earlier
+  // rewrites have already shifted positions. Deps only point earlier, so
+  // the plan stays topologically ordered.
+  OracleTally tally;
+  Rng rng(/*seed=*/19, /*stream=*/0);
+  for (int limit : {0, 2}) {
+    SCOPED_TRACE("limiter=" + std::to_string(limit));
+    simfsdp::TransformerShape shape;
+    shape.name = "many-small";
+    shape.hidden = 256;
+    shape.layers = 32;
+    shape.heads = 4;
+    shape.seq = 64;
+    shape.vocab = 2048;
+    const simfsdp::Workload w = simfsdp::MakeTransformer(shape);
+    const sim::Topology topo{2, 8};
+    simfsdp::FsdpSimConfig cfg;
+    cfg.batch_per_gpu = 2;
+    cfg.limit_all_gathers = limit;
+    plan::PassOptions opt = simfsdp::MakePassOptions(w, topo, cfg);
+    opt.fuse_below_bytes = 8 << 20;
+    opt.max_hoist_computes = 4;
+    opt.max_sink_computes = 4;
+    plan::StepPlan base = simfsdp::BuildSimStepPlan(w, topo, cfg);
+    for (int i = 1; i < base.size(); ++i) {
+      if (rng.NextBelow(3) != 0) continue;
+      const int back = 1 + static_cast<int>(rng.NextBelow(std::min(i, 6)));
+      std::vector<int>& deps = base.instrs[static_cast<size_t>(i)].deps;
+      deps.push_back(i - back);
+      std::sort(deps.begin(), deps.end());
+      deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+    }
+    ExpectPipelinesMatch(base, opt, &tally);
+  }
+  // Once b's reduce sinks away, a's gradient free lands right behind a's
+  // reduce and joins its chain, so the group's positions {0, 1} hold
+  // original instructions {0, 2}; the compute that depends on original 2
+  // must stop the sink.
+  const plan::Instr free_a = MakeInstr(plan::Op::kFreeGrad, 0,
+                                       plan::Phase::kBackward,
+                                       plan::Lane::kHost);
+  ExpectPipelinesMatch(
+      MakePlan({"a", "b", "c"},
+               {Reduce(0), Reduce(1), free_a, Bwd(2, {2}), Bwd(2, {3})}),
+      plan::PassOptions{}, &tally);
+  EXPECT_EQ(tally.plans, 3);
+  EXPECT_GT(tally.hoists, 0);
+  EXPECT_GT(tally.sinks, 0);
+}
+
+TEST(PassOracleTest, ValidatorMatchesOnComposedAndAccumulationPlans) {
+  // Pipeline stages (send/recv matching, stage projections) and several
+  // microbatches (per-microbatch reduction coverage) exercise the parts of
+  // the validator the single-stage grid plans leave idle.
+  OracleTally tally;
+  Rng rng(/*seed=*/17, /*stream=*/0);
+  plan::ComposedPlanOptions co;
+  co.fsdp = plan::FsdpPlanOptions::Runtime();
+  co.fsdp.accum = plan::AccumMode::kReduceLastMicrobatch;
+  co.pp_stages = 2;
+  co.microbatches = 2;
+  co.tp_degree = 2;
+  co.act_bytes = 512;
+  co.tp_bytes = 512;
+  const plan::StepPlan composed = plan::BuildComposedStepPlan(
+      {{"[root]", "a", "b"}, {"[root]", "c", "d"}}, co);
+  plan::PassOptions po;
+  po.unit_shard_bytes.assign(composed.unit_names.size(), 512);
+  po.unit_reduce_bytes.assign(composed.unit_names.size(), 512);
+  po.fuse_below_bytes = 4096;
+  ExpectPipelinesMatch(composed, po, &tally);
+  std::vector<plan::StepPlan> plans{composed, plan::FilterStage(composed, 0),
+                                    plan::FilterStage(composed, 1)};
+  const std::vector<std::string> names{"[root]", "a", "b", "c"};
+  for (plan::AccumMode accum : {plan::AccumMode::kReduceEveryMicrobatch,
+                                plan::AccumMode::kReduceLastMicrobatch}) {
+    plan::FsdpPlanOptions o = plan::FsdpPlanOptions::Runtime();
+    o.microbatches = 3;
+    o.accum = accum;
+    plans.push_back(plan::BuildFsdpStepPlan(names, o));
+  }
+  for (const plan::StepPlan& p : plans) {
+    ExpectSameVerdict(p);
+    ExpectPerturbedVerdictsMatch(p, 40, rng, &tally);
+  }
+  EXPECT_GT(tally.valid, 0);
+  EXPECT_GT(tally.invalid, 0);
 }
 
 // ------------------------------------------------------ acceptance: latency

@@ -368,7 +368,8 @@ std::multiset<std::pair<int, int>> CollectiveUnits(const plan::StepPlan& p,
   std::multiset<std::pair<int, int>> out;
   for (const plan::Instr& in : p.instrs) {
     if (in.op != op) continue;
-    for (int u : plan::CoveredUnits(in)) out.insert({in.microbatch, u});
+    plan::ForEachCoveredUnit(
+        in, [&](int u) { out.insert({in.microbatch, u}); });
   }
   return out;
 }
