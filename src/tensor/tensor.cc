@@ -1,23 +1,212 @@
 #include "tensor/tensor.h"
 
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
+
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <list>
+#include <mutex>
 #include <sstream>
+#include <unordered_map>
 
 namespace fsdp {
 
 namespace {
 std::atomic<int64_t> g_live_bytes{0};
 std::atomic<int64_t> g_peak_bytes{0};
+// Like g_peak_bytes, but never reset: the block cache's bound.
+std::atomic<int64_t> g_high_water_bytes{0};
+
+void RaiseTo(std::atomic<int64_t>& peak, int64_t now) {
+  int64_t seen = peak.load(std::memory_order_relaxed);
+  while (now > seen &&
+         !peak.compare_exchange_weak(seen, now, std::memory_order_relaxed)) {
+  }
+}
 
 void AddLiveBytes(int64_t delta) {
   const int64_t now =
       g_live_bytes.fetch_add(delta, std::memory_order_relaxed) + delta;
-  int64_t peak = g_peak_bytes.load(std::memory_order_relaxed);
-  while (now > peak &&
-         !g_peak_bytes.compare_exchange_weak(peak, now,
-                                             std::memory_order_relaxed)) {
+  RaiseTo(g_peak_bytes, now);
+  RaiseTo(g_high_water_bytes, now);
+}
+
+// Smaller blocks stay on malloc: its bins already recycle them without a
+// page fault, and a mapping of its own would cost a syscall and a whole page.
+constexpr int64_t kMinCachedBytes = 16 << 10;
+
+#if defined(__SANITIZE_ADDRESS__)
+// Under ASan the blocks come from malloc, whose redzones report a write past
+// a tensor's end; a page-rounded mapping would hide it in its slack.
+float* FreshBlock(int64_t bytes) {
+  return static_cast<float*>(std::calloc(static_cast<size_t>(bytes), 1));
+}
+void ReturnBlock(float* p, int64_t /*bytes*/) { std::free(p); }
+float* ResizeBlock(float* p, int64_t /*old_bytes*/, int64_t bytes) {
+  std::free(p);
+  return FreshBlock(bytes);
+}
+#else
+// Mapped, not malloc'd: glibc would keep a freed block in its heap, and an
+// evicted block must leave the process's RSS. Fresh pages read as zeros.
+size_t MappedBytes(int64_t bytes) {
+  constexpr size_t kPage = 4096;
+  return (static_cast<size_t>(bytes) + kPage - 1) & ~(kPage - 1);
+}
+float* FreshBlock(int64_t bytes) {
+  void* p = mmap(nullptr, MappedBytes(bytes), PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  FSDP_CHECK_MSG(p != MAP_FAILED, "mmap of " << bytes << " bytes failed");
+  return static_cast<float*>(p);
+}
+void ReturnBlock(float* p, int64_t bytes) { munmap(p, MappedBytes(bytes)); }
+// The first min(old, new) bytes keep their resident pages, and whatever
+// they last held.
+float* ResizeBlock(float* p, int64_t old_bytes, int64_t bytes) {
+  void* q = mremap(p, MappedBytes(old_bytes), MappedBytes(bytes),
+                   MREMAP_MAYMOVE);
+  FSDP_CHECK_MSG(q != MAP_FAILED, "mremap to " << bytes << " bytes failed");
+  return static_cast<float*>(q);
+}
+#endif
+
+// Freed blocks of at least kMinCachedBytes, one free list per exact size.
+// Blocks cross threads (a comm worker drops the operands a rank thread
+// allocated), so one mutex guards the lists; the counters are atomic so the
+// bound can be checked without it.
+class BlockCache {
+ public:
+  // The most recently freed block of `bytes` (still warm in cache), or
+  // nullptr. The caller zeroes it.
+  float* Take(int64_t bytes) {
+    float* p = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = by_size_.find(bytes);
+      if (it != by_size_.end() && !it->second.empty()) {
+        const auto entry = it->second.back();
+        it->second.pop_back();
+        p = entry->ptr;
+        lru_.erase(entry);
+        cached_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
+      }
+    }
+    (p ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+    if (p) ASAN_UNPOISON_MEMORY_REGION(p, static_cast<size_t>(bytes));
+    return p;
+  }
+
+  // Keeps a freed block; until it is taken again, touching it is an ASan
+  // error.
+  void Put(float* p, int64_t bytes) {
+    ASAN_POISON_MEMORY_REGION(p, static_cast<size_t>(bytes));
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      lru_.push_back({p, bytes});
+      by_size_[bytes].push_back(std::prev(lru_.end()));
+      cached_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    }
+    Trim();
+  }
+
+  // Returns the least recently freed blocks to the OS until cached + live
+  // bytes fit under the live high-water mark. Called after live bytes grow.
+  void Trim() {
+    Entry victim{};
+    while (PopVictim(&victim)) ReturnBlock(victim.ptr, victim.bytes);
+  }
+
+  // A miss of `bytes` that must evict: the least recently freed block's
+  // pages, remapped to `bytes`, instead of unmapping them and faulting in
+  // fresh ones. nullptr when nothing needs to go. The caller zeroes it.
+  float* Recycle(int64_t bytes) {
+    Entry victim{};
+    if (!PopVictim(&victim)) return nullptr;
+    float* p = ResizeBlock(victim.ptr, victim.bytes, bytes);
+    Trim();
+    return p;
+  }
+
+  int64_t cached_bytes() const {
+    return cached_bytes_.load(std::memory_order_relaxed);
+  }
+  int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+
+ private:
+  struct Entry {
+    float* ptr;
+    int64_t bytes;
+  };
+
+  // Unlinks the least recently freed block while cached + live bytes exceed
+  // the high-water mark.
+  bool PopVictim(Entry* victim) {
+    if (!OverBound()) return false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (lru_.empty() || !OverBound()) return false;
+      *victim = lru_.front();
+      auto& same_size = by_size_[victim->bytes];
+      same_size.erase(same_size.begin());  // its oldest is the LRU front
+      lru_.pop_front();
+      cached_bytes_.fetch_sub(victim->bytes, std::memory_order_relaxed);
+    }
+    ASAN_UNPOISON_MEMORY_REGION(victim->ptr,
+                                static_cast<size_t>(victim->bytes));
+    return true;
+  }
+
+  bool OverBound() const {
+    return cached_bytes() + g_live_bytes.load(std::memory_order_relaxed) >
+           g_high_water_bytes.load(std::memory_order_relaxed);
+  }
+
+  std::mutex mu_;
+  std::list<Entry> lru_;  // front: least recently freed
+  // Per size, oldest first; each entry points into lru_.
+  std::unordered_map<int64_t, std::vector<std::list<Entry>::iterator>>
+      by_size_;
+  std::atomic<int64_t> cached_bytes_{0};
+  std::atomic<int64_t> hits_{0};
+  std::atomic<int64_t> misses_{0};
+};
+
+// Never destroyed: Storages in static objects may be freed after it would be.
+BlockCache& Cache() {
+  static auto* cache = new BlockCache;
+  return *cache;
+}
+
+// `numel` zeroed floats, counted in live bytes.
+float* AllocateBlock(int64_t numel) {
+  const int64_t bytes = numel * static_cast<int64_t>(sizeof(float));
+  AddLiveBytes(bytes);
+  if (bytes < kMinCachedBytes) {
+    Cache().Trim();  // make room before fresh bytes count against RSS
+    void* p = std::calloc(static_cast<size_t>(numel), sizeof(float));
+    FSDP_CHECK_MSG(p != nullptr || numel == 0,
+                   "calloc of " << bytes << " bytes failed");
+    return static_cast<float*>(p);
+  }
+  float* p = Cache().Take(bytes);
+  if (p == nullptr) p = Cache().Recycle(bytes);
+  if (p == nullptr) return FreshBlock(bytes);
+  std::memset(p, 0, static_cast<size_t>(bytes));
+  return p;
+}
+
+void ReleaseBlock(float* p, int64_t numel) {
+  const int64_t bytes = numel * static_cast<int64_t>(sizeof(float));
+  AddLiveBytes(-bytes);
+  if (bytes < kMinCachedBytes) {
+    std::free(p);
+  } else {
+    Cache().Put(p, bytes);
   }
 }
 
@@ -39,30 +228,26 @@ EnableGradGuard::~EnableGradGuard() { g_grad_enabled = prev_; }
 Storage::Storage(int64_t numel, Device device)
     : numel_(numel), device_(device), allocated_(device == Device::kCpu) {
   FSDP_CHECK_MSG(numel >= 0, "negative storage size " << numel);
-  if (allocated_) {
-    data_.resize(static_cast<size_t>(numel), 0.f);
-    AddLiveBytes(numel * 4);
-  }
+  if (allocated_) data_ = AllocateBlock(numel);
 }
 
 Storage::~Storage() {
-  if (allocated_) AddLiveBytes(-numel_ * 4);
+  if (allocated_) ReleaseBlock(data_, numel_);
 }
 
 void Storage::Free() {
   FSDP_CHECK_MSG(device_ == Device::kCpu, "Free on fake-device storage");
   if (!allocated_) return;
-  std::vector<float>().swap(data_);
+  ReleaseBlock(data_, numel_);
+  data_ = nullptr;
   allocated_ = false;
-  AddLiveBytes(-numel_ * 4);
 }
 
 void Storage::Allocate() {
   FSDP_CHECK_MSG(device_ == Device::kCpu, "Allocate on fake-device storage");
   if (allocated_) return;
-  data_.assign(static_cast<size_t>(numel_), 0.f);
+  data_ = AllocateBlock(numel_);
   allocated_ = true;
-  AddLiveBytes(numel_ * 4);
 }
 
 int64_t Storage::live_bytes() {
@@ -77,6 +262,10 @@ void Storage::ResetPeakBytes() {
   g_peak_bytes.store(g_live_bytes.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
 }
+
+int64_t Storage::cached_bytes() { return Cache().cached_bytes(); }
+int64_t Storage::cache_hits() { return Cache().hits(); }
+int64_t Storage::cache_misses() { return Cache().misses(); }
 
 Tensor Tensor::Empty(Shape shape, DType dtype, Device device) {
   auto impl = std::make_shared<TensorImpl>();

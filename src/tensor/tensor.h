@@ -12,6 +12,10 @@
 //  * A Storage lives on a Device. kFake storage has no bytes — it backs
 //    deferred initialization (paper Sec 3.1), where ops are recorded instead
 //    of executed.
+//  * CPU bytes come from a small caching allocator (tensor.cc): a freed
+//    block waits for the next Storage of its exact size, the way PyTorch's
+//    caching allocator hands a resharded FlatParameter's block to the next
+//    unshard.
 #pragma once
 
 #include <cstdint>
@@ -50,17 +54,26 @@ enum class Device : uint8_t { kCpu = 0, kFake = 1 };
 
 /// Reference-counted flat buffer. Data is always held as FP32 floats; the
 /// dtype tag on the Tensor governs quantization and byte accounting.
+///
+/// Blocks of 16 KiB and more are cached when freed and handed, zeroed, to
+/// the next Storage of the same numel. The cache keeps cached_bytes() +
+/// live_bytes() within the process's high-water mark of live_bytes(), so it
+/// never raises the peak by itself; the least recently freed block goes back
+/// to the OS first, or its pages go to the allocation that evicted it.
 class Storage {
  public:
   Storage(int64_t numel, Device device);
+  ~Storage();
+  Storage(const Storage&) = delete;
+  Storage& operator=(const Storage&) = delete;
 
   float* data() {
     CheckReadable();
-    return data_.data();
+    return data_;
   }
   const float* data() const {
     CheckReadable();
-    return data_.data();
+    return data_;
   }
 
   int64_t numel() const { return numel_; }
@@ -82,7 +95,12 @@ class Storage {
   static int64_t peak_bytes();
   static void ResetPeakBytes();
 
-  ~Storage();
+  /// Bytes held by the cache of freed blocks, counted like live_bytes().
+  static int64_t cached_bytes();
+  /// Allocations of a cacheable size that reused a cached block, and those
+  /// that mapped fresh pages, since process start.
+  static int64_t cache_hits();
+  static int64_t cache_misses();
 
  private:
   void CheckReadable() const {
@@ -93,7 +111,7 @@ class Storage {
                    "its FSDP unit was resharded?)");
   }
 
-  std::vector<float> data_;
+  float* data_ = nullptr;
   int64_t numel_;
   Device device_;
   bool allocated_;

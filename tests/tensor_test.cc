@@ -2,6 +2,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -197,6 +198,154 @@ TEST(TensorTest, QuantizeInPlace) {
   t.data()[0] = 1.0009765625f;
   t.QuantizeInPlace_();
   EXPECT_EQ(t.data()[0], 1.f);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kAsanBuild = true;
+#else
+constexpr bool kAsanBuild = false;
+#endif
+
+// 256 KiB: above the 16 KiB floor under which blocks stay on malloc.
+constexpr int64_t kCachedNumel = 1 << 16;
+
+bool AllZero(const float* p, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    if (p[i] != 0.f) return false;
+  }
+  return true;
+}
+
+TEST(StorageCacheTest, ReusedBlockReadsAsZeros) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  float* block = nullptr;
+  {
+    Tensor t = Tensor::Zeros({kCachedNumel});
+    t.Fill_(nan);
+    block = t.data();
+  }
+  const int64_t hits = Storage::cache_hits();
+  Tensor t = Tensor::Zeros({kCachedNumel});
+  EXPECT_EQ(t.data(), block);
+  EXPECT_EQ(Storage::cache_hits(), hits + 1);
+  EXPECT_TRUE(AllZero(t.data(), kCachedNumel));
+
+  // resize_(0) and back, as FSDP's reshard and unshard do.
+  Storage& storage = *t.storage();
+  t.Fill_(nan);
+  storage.Free();
+  storage.Allocate();
+  EXPECT_EQ(storage.data(), block);
+  EXPECT_TRUE(AllZero(storage.data(), kCachedNumel));
+}
+
+TEST(StorageCacheTest, MissThatMustEvictRecyclesTheBlockZeroed) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Larger than the high-water mark so far: it empties the cache and sets
+  // a new mark, so cached + live bytes sit at the mark once it is freed.
+  const int64_t big = Storage::peak_bytes() / 4 + 4 * kCachedNumel;
+  float* big_block = nullptr;
+  {
+    Tensor t = Tensor::Zeros({big});
+    t.Fill_(nan);
+    big_block = t.data();
+  }
+  // A new size misses and must evict the big block: its pages shrink to
+  // the new size (in place, unless the backing is malloc), NaNs zeroed.
+  // The size is not a whole number of pages, so the last page keeps NaNs
+  // past the tensor's end.
+  const int64_t misses = Storage::cache_misses();
+  const int64_t small = kCachedNumel + 100;
+  {
+    Tensor t = Tensor::Zeros({small});
+    EXPECT_EQ(Storage::cache_misses(), misses + 1);
+    EXPECT_EQ(Storage::cached_bytes(), 0);
+    if (!kAsanBuild) {
+      EXPECT_EQ(t.data(), big_block);
+    }
+    EXPECT_TRUE(AllZero(t.data(), small));
+    t.Fill_(nan);
+  }
+  // Again, growing the small block past its old end: the whole tensor,
+  // old bytes and new, reads as zeros.
+  Tensor t = Tensor::Zeros({big - 1000});
+  EXPECT_EQ(Storage::cached_bytes(), 0);
+  EXPECT_TRUE(AllZero(t.data(), big - 1000));
+}
+
+TEST(StorageCacheTest, CachedPlusLiveStaysUnderHighWater) {
+  // Nothing in this binary calls ResetPeakBytes(), so peak_bytes() is the
+  // process's high-water mark of live bytes, the cache's bound.
+  const auto under_bound = [] {
+    return Storage::cached_bytes() + Storage::live_bytes() <=
+           Storage::peak_bytes();
+  };
+  Rng rng(3, 0);
+  const int64_t sizes[] = {100, 4095, 4096, 8192, 30000, kCachedNumel};
+  std::vector<Tensor> held;
+  for (int i = 0; i < 2000; ++i) {
+    const auto pick = static_cast<size_t>(rng.NextUniform(0, 6));
+    if (held.size() > 12 || (!held.empty() && rng.NextUniform(0, 1) < 0.45)) {
+      held.erase(held.begin() + static_cast<int64_t>(pick % held.size()));
+    } else {
+      held.push_back(Tensor::Zeros({sizes[pick % 6]}));
+    }
+    ASSERT_TRUE(under_bound()) << "after op " << i;
+  }
+  held.clear();
+  EXPECT_TRUE(under_bound());
+  EXPECT_GT(Storage::cached_bytes(), 0);
+
+  // A block larger than the high-water mark so far becomes most of the new
+  // mark by itself: every cached block must leave the cache.
+  Tensor t = Tensor::Zeros({Storage::peak_bytes() / 4 + kCachedNumel});
+  EXPECT_TRUE(under_bound());
+  EXPECT_EQ(Storage::cached_bytes(), 0);
+}
+
+TEST(StorageCacheTest, BlockFreedOnOneThreadIsReusedOnAnother) {
+  float* freed = nullptr;
+  std::thread([&] {
+    Tensor t = Tensor::Full({kCachedNumel}, 7.f);
+    freed = t.data();
+  }).join();
+  Tensor reused;
+  std::thread([&] { reused = Tensor::Zeros({kCachedNumel}); }).join();
+  EXPECT_EQ(reused.data(), freed);
+  EXPECT_TRUE(AllZero(reused.data(), kCachedNumel));
+
+  // Concurrent churn: every thread's blocks stay its own while it holds them.
+  std::vector<std::thread> threads;
+  for (int r = 0; r < 3; ++r) {
+    threads.emplace_back([r] {
+      for (int i = 0; i < 50; ++i) {
+        Tensor a = Tensor::Full({kCachedNumel}, static_cast<float>(r));
+        Tensor b = Tensor::Zeros({kCachedNumel / 2 + r});
+        EXPECT_TRUE(AllZero(b.data(), b.numel()));
+        EXPECT_EQ(a.SumValue(), static_cast<float>(r * kCachedNumel));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+}
+
+TEST(StorageCacheDeathTest, ReadAfterFreeIsAnAsanError) {
+  if (!kAsanBuild) GTEST_SKIP() << "needs an ASan build";
+  volatile float* stale = nullptr;
+  {
+    Tensor t = Tensor::Zeros({kCachedNumel});
+    stale = t.data();
+  }
+  // The block now sits, poisoned, in the cache.
+  EXPECT_DEATH(stale[1] = stale[0], "use-after-poison|use-after-free");
+}
+
+TEST(StorageCacheDeathTest, WritePastEndIsAnAsanError) {
+  if (!kAsanBuild) GTEST_SKIP() << "needs an ASan build";
+  { Tensor first_owner = Tensor::Zeros({kCachedNumel}); }
+  Tensor t = Tensor::Zeros({kCachedNumel});  // a block from the cache
+  volatile float* p = t.data();
+  EXPECT_DEATH(p[kCachedNumel] = 1.f, "heap-buffer-overflow");
 }
 
 TEST(KernelsTest, GemmAllTransposeVariants) {
